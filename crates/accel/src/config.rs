@@ -104,9 +104,8 @@ impl MemoryConfig {
 /// the harness. `Some(_)` expands to concrete windows via
 /// [`crate::faults::FaultRuntime`]; the same plan always produces the
 /// same schedule, so faulted runs are exactly reproducible and
-/// memoizable. Fault runs tick per-cycle (fast-forward is forced off)
-/// and use the serial lock-step drain, so windows land on exact cycles
-/// on every host.
+/// memoizable. Fault runs tick per-cycle (fast-forward is forced off),
+/// so windows land on exact cycles on every host and thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Seed of the event schedule (splitmix64 stream).

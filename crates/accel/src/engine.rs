@@ -125,7 +125,7 @@ impl<P> SlicedRunResult<P> {
 
 /// The whole scatter pipeline: front-end and back-end clocked as one
 /// component by the scheduler. One instance is one chip; the sharded
-/// executor (`crate::sharded`) clocks several of them in lock step.
+/// executor (`crate::sharded`) drains several of them, each on its own.
 pub(crate) struct ScatterPipeline<P> {
     pub(crate) front: FrontEnd<P>,
     pub(crate) back: BackEnd<P>,
@@ -154,6 +154,74 @@ impl<P: Copy + 'static> ScatterPipeline<P> {
         self.front.commit_idle(cycles, metrics);
         self.mem.commit_idle(cycles);
     }
+
+    /// Drains one scatter phase of chip `chip` over `graph` under
+    /// `scheduler`, reducing into the owned tProperty interval `t_props`
+    /// whose first vertex is `t_base`. Each cycle first applies the
+    /// phase's fault windows active at `base + cycle` for this chip.
+    ///
+    /// # Errors
+    ///
+    /// [`DrainError::Stall`] when the chip fails to drain within the
+    /// scheduler's guard, [`DrainError::Interrupted`] when the phase's
+    /// control observes a cancellation.
+    pub(crate) fn drain<Prog: VertexProgram<Prop = P>>(
+        &mut self,
+        scheduler: &mut Scheduler,
+        phase: &Phase<'_, Prog>,
+        chip: usize,
+        graph: &Csr,
+        (t_props, t_base): (&mut [P], u32),
+        metrics: &mut Metrics,
+    ) -> Result<u64, DrainError> {
+        let Phase {
+            program,
+            control,
+            faults,
+            base,
+        } = *phase;
+        let callback = |pipeline: &mut Self, step: DrainStep| match step {
+            DrainStep::Cycle(cycle) => {
+                if let Some(f) = faults {
+                    // Fault windows index the *global* scatter timeline,
+                    // so a window that straddles an iteration boundary
+                    // keeps holding the pipeline across drains.
+                    let now = base + cycle;
+                    f.set_brownouts(now, |fault_chip, channel, active| {
+                        if fault_chip == chip {
+                            pipeline.mem.set_dram_channel_paused(channel, active);
+                        }
+                    });
+                    if f.chip_paused(now, chip) {
+                        // Clock-gated: held packets wait, nothing steps.
+                        return;
+                    }
+                }
+                // Stages evaluate consumer-first: back-end (1–3), then
+                // front-end (4–6) feeding the back-end's edge unit.
+                pipeline.back.step(program, graph, t_props, t_base, metrics);
+                pipeline.front.step(
+                    graph,
+                    &mut pipeline.back.edge_access,
+                    &mut pipeline.mem,
+                    metrics,
+                );
+            }
+            DrainStep::Skipped { cycles, .. } => pipeline.commit_idle(cycles, metrics),
+        };
+        scheduler.drain_ctrl(self, control, callback)
+    }
+}
+
+/// What every drain of one scatter phase shares.
+pub(crate) struct Phase<'a, Prog> {
+    pub(crate) program: &'a Prog,
+    /// Polled for cancellation during the drain, when set.
+    pub(crate) control: Option<&'a RunControl>,
+    /// Fault windows, keyed on the global scatter-cycle timeline.
+    pub(crate) faults: Option<&'a FaultRuntime>,
+    /// Global scatter cycle at which the phase starts.
+    pub(crate) base: u64,
 }
 
 impl<P: Copy + 'static> ClockedComponent for ScatterPipeline<P> {
@@ -824,41 +892,13 @@ impl<'g> Engine<'g> {
             )
         }) + faults.map_or(0, FaultRuntime::guard_bonus);
         scheduler.set_stall_guard(guard);
-        // Fault windows index the *global* scatter timeline, so a window
-        // that straddles an iteration boundary keeps holding the
-        // pipeline across drains.
-        let base = metrics.scatter_cycles;
-        let callback = |pipeline: &mut ScatterPipeline<Prog::Prop>, step: DrainStep| match step {
-            DrainStep::Cycle(cycle) => {
-                if let Some(f) = faults {
-                    let now = base + cycle;
-                    f.set_brownouts(now, |_, channel, active| {
-                        pipeline.mem.set_dram_channel_paused(channel, active);
-                    });
-                    if f.chip_paused(now, 0) {
-                        // Clock-gated: held packets wait, nothing steps.
-                        return;
-                    }
-                }
-                // Stages evaluate consumer-first: back-end (1–3),
-                // then front-end (4–6) feeding the back-end's edge
-                // unit.
-                pipeline.back.step(program, graph, t_props, 0, metrics);
-                pipeline.front.step(
-                    graph,
-                    &mut pipeline.back.edge_access,
-                    &mut pipeline.mem,
-                    metrics,
-                );
-            }
-            DrainStep::Skipped { cycles, .. } => pipeline.commit_idle(cycles, metrics),
+        let phase = Phase {
+            program,
+            control,
+            faults,
+            base: metrics.scatter_cycles,
         };
-        let drained = match control {
-            Some(ctrl) => scheduler.drain_ctrl(pipeline, ctrl, callback),
-            None => scheduler
-                .drain_with(pipeline, callback)
-                .map_err(DrainError::Stall),
-        };
+        let drained = pipeline.drain(scheduler, &phase, 0, graph, (t_props, 0), metrics);
         let spent = match drained {
             Ok(spent) => spent,
             Err(DrainError::Interrupted { .. }) => return Ok(false),

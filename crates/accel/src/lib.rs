@@ -15,7 +15,8 @@
 //!   `Apply( )` and building the next frontier;
 //! * **multi-chip scale-out** (the `sharded` module): P whole pipelines
 //!   over a destination-interval partition, coupled by a modeled
-//!   inter-chip link and clocked in lock step.
+//!   inter-chip link, each chip and the link draining on its own per
+//!   iteration.
 //!
 //! Both pipeline halves implement `higraph_sim::ClockedComponent` and the
 //! engine drives them through the shared `higraph_sim::Scheduler` — the

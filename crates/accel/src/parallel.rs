@@ -1,100 +1,28 @@
 //! Deterministic intra-run chip-level parallelism for the sharded
 //! executor.
 //!
-//! `crate::sharded::ShardedEngine` clocks P independent
-//! [`ScatterPipeline`]s plus one `InterChipLink` in lock step. The chips
-//! never touch each other's state inside a cycle — each scatters its own
-//! slice graph into its own tProperty interval and its own `Metrics` —
-//! so the per-cycle combinational phase and clock edge of different
-//! chips can run on different host threads. Everything that couples the
-//! chips (the link exchange, the fast-forward window decision, the stall
-//! guard) stays on the coordinating thread, separated from the chip work
-//! by a barrier on each side of every cycle: the cycle-level schedule is
-//! exactly the serial drain's, so cycle counts and every metric are
-//! **bit-identical** to the serial path and independent of the worker
-//! count (`tests/thread_determinism.rs` asserts this).
-//!
-//! # Protocol
-//!
-//! One drain leases `workers` participants from the process-wide
-//! [`higraph_pool::CorePool`] (idle resident workers, topped up with
-//! temporary threads only for an explicit thread-count override) and
-//! hands each a team task; chips are dealt to them round-robin. Per
-//! cycle:
-//!
-//! 1. the coordinator publishes a [`Command`] and releases barrier A;
-//! 2. workers step + tick their chips (or bulk-`skip` an idle window)
-//!    while the coordinator performs the link exchange and link tick —
-//!    chip state and link state are disjoint, so this overlap is safe;
-//! 3. everyone meets at barrier B; workers have published each chip's
-//!    `next_activity` / `in_flight`, from which the coordinator computes
-//!    the composite drain state exactly as `MultiChip` does serially.
-//!
-//! The barrier is a spin-then-yield sense barrier: lock-free on the
-//! multi-core fast path, yielding quickly so oversubscribed hosts (or a
-//! single-core CI container) degrade gracefully instead of livelocking.
-//! Chip lanes migrate freely across pool workers between drains — each
-//! lane owns its chip, metrics, slice graph, and `split_at_mut` interval
-//! outright, so *which* host thread executes a lane is invisible to the
-//! simulated state. See `docs/performance.md` for the full determinism
-//! argument.
+//! One scatter phase of `crate::sharded::ShardedEngine` is P + 1
+//! independent drains: each chip's [`crate::engine::ScatterPipeline`]
+//! under its own `Scheduler`, and the inter-chip link with its staged
+//! counts under another. Nothing couples them inside a phase — a chip
+//! scatters its own slice graph into its own tProperty interval and its
+//! own `Metrics`, cross-chip traffic is count-staged at phase start and
+//! discarded on arrival — so *which* host thread runs a drain, and in
+//! what order, is invisible to the simulated state. [`drain_all`] spreads
+//! the drains over a [`CoreLease`]'s team and the calling thread through
+//! one shared cursor; the engine combines the results after the join, in
+//! fixed component order, so cycles and every metric are
+//! **bit-identical** for any worker count (`tests/thread_determinism.rs`
+//! asserts this; `docs/performance.md` has the full argument).
 
-use crate::engine::ScatterPipeline;
-use crate::metrics::Metrics;
 use crate::sharded::ShardPacket;
-use higraph_graph::Csr;
 use higraph_pool::{CoreLease, TeamTask};
-use higraph_sim::{min_activity, ClockedComponent, InterChipLink, Network, StallError};
-use higraph_vcpm::VertexProgram;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use higraph_sim::{InterChipLink, Network};
+use std::sync::Mutex;
 
-/// One chip's share of a lock-step drain: the pipeline plus everything
-/// only this chip writes (its metrics, its owned tProperty interval).
-pub(crate) struct ChipLane<'a, P> {
-    /// Chip index within the shard (= slice index).
-    pub(crate) index: usize,
-    /// The chip's scatter pipeline.
-    pub(crate) chip: &'a mut ScatterPipeline<P>,
-    /// The chip's metrics accumulator.
-    pub(crate) metrics: &'a mut Metrics,
-    /// The chip's owned tProperty interval (disjoint across lanes).
-    pub(crate) t_props: &'a mut [P],
-    /// Global vertex id of `t_props[0]`.
-    pub(crate) t_base: u32,
-    /// The chip's slice graph.
-    pub(crate) graph: &'a Csr,
-}
-
-/// Result of one parallel lock-step drain.
-pub(crate) struct ParallelDrainOutcome {
-    /// Cycles the drain consumed (== the serial drain's return value).
-    pub(crate) spent: u64,
-    /// Per-chip last-active cycle count (the serial path's
-    /// `chip_cycles[ci] = cycle + 1` accounting), indexed by chip.
-    pub(crate) chip_cycles: Vec<u64>,
-}
-
-/// Command word: `0` = step one cycle, `1` = exit, even values `>= 2`
-/// encode `skip(cycles = word >> 1)`.
-const CMD_STEP: u64 = 0;
-const CMD_EXIT: u64 = 1;
-
-#[inline]
-fn encode_skip(cycles: u64) -> u64 {
-    debug_assert!(cycles > 0 && cycles <= u64::MAX >> 1);
-    cycles << 1
-}
-
-/// Published activity sentinel for "quiescent" (`next_activity() ==
-/// None`); real windows are clamped one below it.
-const QUIESCENT: u64 = u64::MAX;
-
-/// One cycle's inter-chip exchange, shared verbatim by the serial and
-/// parallel drains (their bit-identity depends on it): chips sink
-/// whatever updates arrived this cycle, then staged updates
-/// (synthesized from the counts) are offered until the link
-/// back-pressures.
+/// One cycle's inter-chip exchange: chips sink whatever updates arrived
+/// this cycle, then staged updates (synthesized from the counts) are
+/// offered until the link back-pressures.
 pub(crate) fn exchange_link(link: &mut InterChipLink<ShardPacket>, staged: &mut [Vec<u64>]) {
     for ci in 0..staged.len() {
         while link.pop(ci).is_some() {}
@@ -114,363 +42,66 @@ pub(crate) fn exchange_link(link: &mut InterChipLink<ShardPacket>, staged: &mut 
     }
 }
 
-/// A sense-reversing counting barrier that spins briefly and then
-/// yields. All `total` participants must call [`SpinBarrier::wait`] the
-/// same number of times.
-pub(crate) struct SpinBarrier {
-    total: usize,
-    count: AtomicUsize,
-    generation: AtomicUsize,
-}
-
-impl SpinBarrier {
-    pub(crate) fn new(total: usize) -> Self {
-        // lint:allow(panic-freedom): internal constructor contract; the runner derives worker counts from max(1, ..)
-        assert!(total > 0, "a barrier needs at least one participant");
-        SpinBarrier {
-            total,
-            count: AtomicUsize::new(0),
-            generation: AtomicUsize::new(0),
+/// Runs `lead` on the calling thread, then `drain` once on every lane.
+///
+/// The lease's team and the calling thread (once `lead` returns) pull
+/// lanes from one shared cursor until it runs dry; without a lease the
+/// caller drains every lane back to back. Results come back in lane
+/// order, whoever ran them. A panic in any drain is re-raised here after
+/// the whole team has finished.
+pub(crate) fn drain_all<L, R, T>(
+    lease: Option<&CoreLease<'_>>,
+    lanes: Vec<L>,
+    lead: impl FnOnce() -> T,
+    drain: impl Fn(L) -> R + Sync,
+) -> (T, Vec<R>)
+where
+    L: Send,
+    R: Send,
+{
+    let cursor = Mutex::new(lanes.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        // The lock is never held across a drain, so it cannot be
+        // poisoned; a poisoned cursor would only end this participant.
+        while let Some((index, lane)) = cursor.lock().ok().and_then(|mut lanes| lanes.next()) {
+            done.push((index, drain(lane)));
         }
-    }
-
-    /// Blocks until all participants arrive.
-    pub(crate) fn wait(&self) {
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.count.fetch_add(1, Ordering::AcqRel) + 1 == self.total {
-            // Last arrival: reset the count, then release the cohort.
-            // The Relaxed reset is ordered by the Release bump below.
-            self.count.store(0, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::Release);
-        } else {
-            // Spin briefly for the common lock-step cadence, then yield
-            // so oversubscribed or single-core hosts make progress.
-            let mut spins = 0u32;
-            while self.generation.load(Ordering::Acquire) == generation {
-                spins = spins.saturating_add(1);
-                if spins < 128 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Coordinator ↔ worker shared state for one drain.
-struct DrainShared {
-    barrier: SpinBarrier,
-    /// The current command word (valid between barrier A and barrier B).
-    cmd: AtomicU64,
-    /// Per-chip published `next_activity` ([`QUIESCENT`] = `None`).
-    activity: Vec<AtomicU64>,
-    /// Per-chip published `in_flight`.
-    in_flight: Vec<AtomicUsize>,
-    /// Set by a worker whose chip work panicked; the coordinator exits
-    /// the protocol and re-raises on join.
-    panicked: AtomicBool,
-}
-
-impl DrainShared {
-    fn new(participants: usize, num_chips: usize) -> Self {
-        DrainShared {
-            barrier: SpinBarrier::new(participants),
-            cmd: AtomicU64::new(CMD_EXIT),
-            activity: (0..num_chips).map(|_| AtomicU64::new(QUIESCENT)).collect(),
-            in_flight: (0..num_chips).map(|_| AtomicUsize::new(0)).collect(),
-            panicked: AtomicBool::new(false),
-        }
-    }
-}
-
-/// Publishes one chip's composite-relevant state. Ordering is Relaxed:
-/// the barrier's AcqRel handoff is what makes it visible.
-fn publish<P: Copy + 'static>(shared: &DrainShared, index: usize, chip: &mut ScatterPipeline<P>) {
-    let activity = match chip.next_activity() {
-        None => QUIESCENT,
-        Some(window) => window.min(QUIESCENT - 1),
+        done
     };
-    shared.activity[index].store(activity, Ordering::Relaxed);
-    shared.in_flight[index].store(chip.in_flight(), Ordering::Relaxed);
-}
-
-/// The worker side of the drain protocol: executes commands on its lanes
-/// until told to exit, returning each lane's last-active cycle count.
-fn worker_drain<P, Prog>(
-    mut lanes: Vec<ChipLane<'_, P>>,
-    shared: &DrainShared,
-    program: &Prog,
-) -> Vec<(usize, u64)>
-where
-    P: Copy + 'static,
-    Prog: VertexProgram<Prop = P>,
-{
-    let mut spent = 0u64;
-    let mut cycles_of: Vec<(usize, u64)> = lanes.iter().map(|lane| (lane.index, 0)).collect();
-    for lane in &mut lanes {
-        publish(shared, lane.index, lane.chip);
-    }
-    shared.barrier.wait(); // initial state visible to the coordinator
-    loop {
-        shared.barrier.wait(); // barrier A: command is published
-        let cmd = shared.cmd.load(Ordering::Relaxed);
-        if cmd == CMD_EXIT {
-            break;
+    let (led, parts) = match lease {
+        Some(lease) => {
+            let tasks: Vec<TeamTask<'_, _>> = (0..lease.team_size())
+                .map(|_| Box::new(&work) as TeamTask<'_, _>)
+                .collect();
+            let ((led, own), mut parts) = lease.run_team(tasks, || (lead(), work()));
+            parts.push(own);
+            (led, parts)
         }
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if cmd == CMD_STEP {
-                for (k, lane) in lanes.iter_mut().enumerate() {
-                    // A drained chip idles (no starvation accrues) while
-                    // slower chips and the link finish — exactly the
-                    // serial callback's per-chip branch.
-                    if !lane.chip.is_drained() {
-                        cycles_of[k].1 = spent + 1;
-                        lane.chip.back.step(
-                            program,
-                            lane.graph,
-                            lane.t_props,
-                            lane.t_base,
-                            lane.metrics,
-                        );
-                        lane.chip.front.step(
-                            lane.graph,
-                            &mut lane.chip.back.edge_access,
-                            &mut lane.chip.mem,
-                            lane.metrics,
-                        );
-                    }
-                    lane.chip.tick();
-                }
-                spent += 1;
-            } else {
-                let cycles = cmd >> 1;
-                for lane in lanes.iter_mut() {
-                    #[cfg(debug_assertions)]
-                    let in_flight_before = lane.chip.in_flight();
-                    lane.chip.skip(cycles);
-                    #[cfg(debug_assertions)]
-                    debug_assert_eq!(
-                        lane.chip.in_flight(),
-                        in_flight_before,
-                        "skip() must not create or retire in-flight work"
-                    );
-                    if !lane.chip.is_drained() {
-                        lane.chip.commit_idle(cycles, lane.metrics);
-                    }
-                }
-                spent += cycles;
-            }
-            for lane in lanes.iter_mut() {
-                publish(shared, lane.index, lane.chip);
-            }
-        }));
-        if outcome.is_err() {
-            shared.panicked.store(true, Ordering::Release);
-        }
-        shared.barrier.wait(); // barrier B: results visible
-        if let Err(payload) = outcome {
-            // Stay in the protocol (the coordinator will send Exit on
-            // its next round), then re-raise so the join propagates it.
-            shared.barrier.wait();
-            resume_unwind(payload);
-        }
-    }
-    cycles_of
-}
-
-/// Drains P chips plus the inter-chip link in lock step across the
-/// lease's team — the parallel twin of the serial
-/// `Scheduler::drain_with` over `MultiChip`, bit-identical in cycle
-/// counts and metrics for any team size.
-///
-/// The lease's participants each run [`worker_drain`] as a team task
-/// while the calling thread coordinates; callers with an empty lease
-/// (`team_size() == 0`, a fully busy pool) must take the serial drain
-/// instead.
-///
-/// # Errors
-///
-/// [`StallError`] when the composite fails to drain within
-/// `stall_guard` cycles, with the same accounting as the serial drain.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drain_chips_parallel<P, Prog>(
-    lanes: Vec<ChipLane<'_, P>>,
-    link: &mut InterChipLink<ShardPacket>,
-    staged: &mut [Vec<u64>],
-    lease: &CoreLease<'_>,
-    fast_forward: bool,
-    stall_guard: u64,
-    program: &Prog,
-) -> Result<ParallelDrainOutcome, StallError>
-where
-    P: Copy + Send + 'static,
-    Prog: VertexProgram<Prop = P> + Sync,
-{
-    let num_chips = lanes.len();
-    let workers = lease.team_size();
-    // lint:allow(panic-freedom): caller contract; `ShardedEngine::run` routes empty leases to the serial drain
-    assert!(workers > 0, "an empty lease cannot host a drain team");
-    let shared = DrainShared::new(workers + 1, num_chips);
-    let mut bins: Vec<Vec<ChipLane<'_, P>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, lane) in lanes.into_iter().enumerate() {
-        bins[i % workers].push(lane);
-    }
-    let tasks: Vec<TeamTask<'_, Vec<(usize, u64)>>> = bins
-        .into_iter()
-        .map(|bin| {
-            let shared = &shared;
-            Box::new(move || worker_drain(bin, shared, program)) as TeamTask<'_, _>
-        })
-        .collect();
-
-    let ((drained_result, coordinator_panic), worker_results) = lease.run_team(tasks, || {
-        let mut spent = 0u64;
-        let mut coordinator_panic = None;
-        shared.barrier.wait(); // initial chip state published
-        let drained_result = loop {
-            if shared.panicked.load(Ordering::Acquire) {
-                shared.cmd.store(CMD_EXIT, Ordering::Relaxed);
-                shared.barrier.wait();
-                // join below re-raises the worker's panic
-                break Err(StallError {
-                    cycles: spent,
-                    limit: stall_guard,
-                });
-            }
-            // Composite drain state, exactly as `MultiChip` reports it.
-            let chips_in_flight: usize = shared
-                .in_flight
-                .iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .sum();
-            let staged_total: u64 = staged.iter().flatten().sum();
-            let drained = chips_in_flight == 0 && link.is_drained() && staged_total == 0;
-            if drained {
-                shared.cmd.store(CMD_EXIT, Ordering::Relaxed);
-                shared.barrier.wait();
-                break Ok(spent);
-            }
-            if spent >= stall_guard {
-                shared.cmd.store(CMD_EXIT, Ordering::Relaxed);
-                shared.barrier.wait();
-                break Err(StallError {
-                    cycles: spent,
-                    limit: stall_guard,
-                });
-            }
-            if fast_forward {
-                // The composite window: staged traffic is offered (and
-                // its rejections counted) every cycle, so it pins the
-                // window to zero; otherwise the minimum across chips and
-                // link, with `MultiChip`'s defensive Some(0) for a
-                // quiescent-but-undrained composite.
-                let window = if staged_total > 0 {
-                    0
-                } else {
-                    let chip_window = shared
-                        .activity
-                        .iter()
-                        .map(|a| match a.load(Ordering::Relaxed) {
-                            QUIESCENT => None,
-                            w => Some(w),
-                        })
-                        .fold(None, min_activity);
-                    min_activity(chip_window, link.next_activity()).unwrap_or(0)
-                };
-                if window > 0 {
-                    let window = window.min(stall_guard - spent);
-                    shared.cmd.store(encode_skip(window), Ordering::Relaxed);
-                    shared.barrier.wait(); // A: workers skip their chips…
-                                           // …while the link skips here. Caught so a
-                                           // coordinator-side panic (e.g. a debug assert in the
-                                           // link's skip) unwinds through the exit protocol
-                                           // instead of leaving workers parked at a barrier.
-                    let link_work = catch_unwind(AssertUnwindSafe(|| link.skip(window)));
-                    shared.barrier.wait(); // B
-                    if let Err(payload) = link_work {
-                        coordinator_panic = Some(payload);
-                        shared.cmd.store(CMD_EXIT, Ordering::Relaxed);
-                        shared.barrier.wait();
-                        break Err(StallError {
-                            cycles: spent,
-                            limit: stall_guard,
-                        });
-                    }
-                    spent += window;
-                    continue;
-                }
-            }
-            shared.cmd.store(CMD_STEP, Ordering::Relaxed);
-            shared.barrier.wait(); // A: workers step + tick their chips…
-                                   // …while this thread runs the link exchange of the same
-                                   // cycle (chip and link state are disjoint), then the link
-                                   // takes its clock edge. Caught so a coordinator-side panic
-                                   // unwinds through the exit protocol instead of leaving
-                                   // workers parked at a barrier.
-            let link_work = catch_unwind(AssertUnwindSafe(|| {
-                exchange_link(link, staged);
-                link.tick();
-            }));
-            shared.barrier.wait(); // B
-            if let Err(payload) = link_work {
-                coordinator_panic = Some(payload);
-                shared.cmd.store(CMD_EXIT, Ordering::Relaxed);
-                shared.barrier.wait();
-                break Err(StallError {
-                    cycles: spent,
-                    limit: stall_guard,
-                });
-            }
-            spent += 1;
-        };
-        (drained_result, coordinator_panic)
-    });
-    // `run_team` has already re-raised any team-task (worker) panic; a
-    // link-side panic captured by the coordinator loop comes next.
-    if let Some(payload) = coordinator_panic {
-        resume_unwind(payload);
-    }
-
-    let mut chip_cycles = vec![0u64; num_chips];
-    for list in worker_results {
-        for (ci, cycles) in list {
-            chip_cycles[ci] = cycles;
-        }
-    }
-    drained_result.map(|spent| ParallelDrainOutcome { spent, chip_cycles })
+        None => (lead(), vec![work()]),
+    };
+    let mut done: Vec<(usize, R)> = parts.into_iter().flatten().collect();
+    done.sort_unstable_by_key(|&(index, _)| index);
+    (led, done.into_iter().map(|(_, result)| result).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
+    use higraph_pool::CorePool;
 
     #[test]
-    fn spin_barrier_synchronizes_rounds() {
-        let barrier = SpinBarrier::new(3);
-        let counter = AtomicU32::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    for round in 1..=32u32 {
-                        counter.fetch_add(1, Ordering::AcqRel);
-                        barrier.wait();
-                        // every participant observes the full round
-                        assert_eq!(counter.load(Ordering::Acquire), round * 3);
-                        barrier.wait();
-                    }
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Acquire), 96);
-    }
-
-    #[test]
-    fn skip_command_round_trips() {
-        assert_eq!(encode_skip(1) >> 1, 1);
-        assert_eq!(encode_skip(1 << 40) >> 1, 1 << 40);
-        assert_ne!(encode_skip(1), CMD_STEP);
-        assert_ne!(encode_skip(1), CMD_EXIT);
+    fn every_lane_drains_once_in_lane_order() {
+        let pool = CorePool::new(2);
+        for team in [None, Some(1usize), Some(3)] {
+            let lease = team.map(|n| pool.lease_exact(n));
+            let (led, out) = drain_all(lease.as_ref(), (0..9u64).collect(), || 7, |x| x * x);
+            assert_eq!(led, 7);
+            assert_eq!(
+                out,
+                (0..9u64).map(|x| x * x).collect::<Vec<_>>(),
+                "{team:?}"
+            );
+        }
     }
 }

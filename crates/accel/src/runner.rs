@@ -13,9 +13,10 @@
 //! deterministic and seeded by its own inputs, so results are
 //! bit-identical to running the same jobs serially through
 //! [`Engine::run`] — `tests/batch_runner.rs` asserts this. Sharded jobs
-//! compose with the batch: their lock-step drains lease whatever pool
+//! compose with the batch: their chip drains lease whatever pool
 //! workers the batch leaves idle (`docs/performance.md`), falling back
-//! to the serial drain — bit-identically — when the host is saturated.
+//! to the calling thread — bit-identically — when the host is
+//! saturated.
 //!
 //! Sliced large-graph schedules ([`Engine::run_sliced`], Sec. 5.3) ride
 //! the same path through [`RunMode::Sliced`].
@@ -426,7 +427,7 @@ where
             let mut engine = ShardedEngine::try_new(job.config.clone(), shard, job.graph)
                 .map_err(BatchError::Config)?;
             engine.set_stall_guard(job.stall_guard);
-            // Default (auto) threading: each lock-step drain leases
+            // Default (auto) threading: each iteration's drains lease
             // whatever pool workers the batch leaves idle, so batch- and
             // chip-level parallelism compose instead of oversubscribing.
             // Results are bit-identical for any worker count.

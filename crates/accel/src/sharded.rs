@@ -4,10 +4,10 @@
 //! The paper's scalability story (Fig. 11) widens one chip; this module
 //! scales *out* instead. [`ShardedEngine`] instantiates one scatter
 //! pipeline per chip over the `higraph_graph::slicing::partition` shards
-//! and clocks all of them — plus a `higraph_sim::InterChipLink` carrying
-//! cross-shard edge updates — under a single `Scheduler` drain per
-//! iteration, so compute and communication share one clock and the
-//! iteration ends only when both have drained.
+//! and drains each of them — plus a `higraph_sim::InterChipLink` carrying
+//! cross-shard edge updates — under its own `Scheduler` each iteration,
+//! on one shared cycle timeline: the iteration ends only when the last
+//! chip and the link have drained.
 //!
 //! # Execution model
 //!
@@ -35,20 +35,20 @@
 use crate::apply::{apply_cycles, apply_phase};
 use crate::config::AcceleratorConfig;
 use crate::engine::{
-    derived_stall_guard, finalize_metrics, Checkpoint, ControlError, ScatterPipeline,
+    derived_stall_guard, finalize_metrics, Checkpoint, ControlError, Phase, ScatterPipeline,
     StallDiagnostic,
 };
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use crate::parallel::{drain_chips_parallel, exchange_link, ChipLane};
+use crate::parallel::{drain_all, exchange_link};
 use higraph_graph::slicing::{partition, total_cut_edges, Slice};
 use higraph_graph::{Csr, VertexId};
-use higraph_pool::{CoreLease, CorePool};
+use higraph_pool::CorePool;
 use higraph_sim::{
-    content_checksum, min_activity, ClockedComponent, DrainError, DrainStep, EventWheel,
-    InterChipLink, NetworkStats, Packet, RunControl, Scheduler, SnapError, SnapReader, SnapValue,
-    SnapWriter, Snapshot, StallError,
+    content_checksum, ClockedComponent, DrainError, DrainStep, InterChipLink, Network,
+    NetworkStats, Packet, RunControl, Scheduler, SnapError, SnapReader, SnapValue, SnapWriter,
+    Snapshot,
 };
 use higraph_vcpm::VertexProgram;
 
@@ -129,9 +129,9 @@ pub struct ShardedRunResult<P> {
     /// Final Property Array — bit-identical to the serial engine's.
     pub properties: Vec<P>,
     /// Aggregate metrics on the multi-chip critical path: scatter cycles
-    /// are the lock-step drain (all chips *and* the link), apply cycles
-    /// the slowest chip's owned-interval scan per iteration. Fabric stats
-    /// and counters are merged across chips.
+    /// are the longest drain per iteration (over the chips *and* the
+    /// link), apply cycles the slowest chip's owned-interval scan per
+    /// iteration. Fabric stats and counters are merged across chips.
     pub metrics: Metrics,
     /// Per-chip metrics, indexed by chip (= slice) number.
     pub chips: Vec<Metrics>,
@@ -148,7 +148,7 @@ impl<P> ShardedRunResult<P> {
     }
 
     /// Scatter cycles of the slowest chip — the compute-only critical
-    /// path, before communication is folded in by the lock-step drain.
+    /// path, before the link's drain is folded in.
     pub fn max_chip_scatter_cycles(&self) -> u64 {
         self.chips
             .iter()
@@ -184,98 +184,17 @@ pub enum ShardedOutcome<P> {
     Cancelled,
 }
 
-/// Everything the lock-step drain clocks: P chip pipelines, the link,
-/// and the per-chip egress staging for packets the link has not yet
-/// accepted. Draining this composite *is* the iteration barrier: the
-/// scatter phase ends when no chip and no link queue holds work.
-///
-/// Staged traffic is a `[src][dst]` remaining-count matrix, not a queue
-/// of materialized packets: every packet of a (src, dst) pair is
-/// identical and consumers discard them on arrival, so synthesizing
-/// packets at link-push time models the same cycles and counts in O(P²)
-/// memory instead of O(cut edges) per iteration.
+/// The per-run multi-chip state: P chip pipelines plus the staged link.
+/// Each drains on its own in a scatter phase; the phase ends when the
+/// last of them has.
 struct MultiChip<P> {
     chips: Vec<ScatterPipeline<P>>,
-    link: InterChipLink<ShardPacket>,
-    staged: Vec<Vec<u64>>,
-    /// Calendar queue over the chips (one slot per chip), so the serial
-    /// drain's window selection costs O(active chips) instead of polling
-    /// every chip pipeline. Chips never *gain* work mid-drain (the
-    /// exchange only moves staged counts into the link and discards
-    /// arrivals), so slots only need re-dirtying when a wake comes due
-    /// ([`EventWheel::dirty_due`] each tick) and wholesale at the start
-    /// of each drain, after `load_frontier` refills the chips.
-    wheel: EventWheel,
+    link: StagedLink,
 }
 
-impl<P> MultiChip<P> {
-    /// Packets staged but not yet accepted by the link.
-    fn staged_total(&self) -> u64 {
-        self.staged.iter().flatten().sum()
-    }
-}
-
-impl<P: Copy + 'static> ClockedComponent for MultiChip<P> {
-    fn tick(&mut self) {
-        for chip in &mut self.chips {
-            chip.tick();
-        }
-        self.link.tick();
-        self.wheel.advance(1);
-        self.wheel.dirty_due();
-    }
-
-    fn in_flight(&self) -> usize {
-        self.chips
-            .iter()
-            .map(ClockedComponent::in_flight)
-            .sum::<usize>()
-            + self.link.in_flight()
-            + self.staged_total() as usize
-    }
-
-    /// The composite idles only when every chip and the link idle and no
-    /// staged traffic is waiting (staged packets are offered — and their
-    /// rejections counted — every cycle until the link accepts them).
-    fn next_activity(&mut self) -> Option<u64> {
-        if self.staged_total() > 0 {
-            return Some(0);
-        }
-        let chips = &mut self.chips;
-        let chip_window = self.wheel.next_window(|c| chips[c].next_activity());
-        #[cfg(debug_assertions)]
-        {
-            // The legacy poll, kept as the oracle the wheel must match.
-            let poll = chips
-                .iter_mut()
-                .map(ClockedComponent::next_activity)
-                .fold(None, min_activity);
-            debug_assert_eq!(
-                chip_window, poll,
-                "multi-chip event wheel diverged from the chip activity poll"
-            );
-        }
-        let window = min_activity(chip_window, self.link.activity_window());
-        match window {
-            Some(w) => Some(w),
-            // Defensive, as in `ScatterPipeline::next_activity`.
-            None if !self.is_drained() => Some(0),
-            None => None,
-        }
-    }
-
-    /// Chip windows are answered by the calendar queue; only the link
-    /// (one component) is still polled directly.
-    fn wheel_indexed(&self) -> bool {
-        true
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        for chip in &mut self.chips {
-            chip.skip(cycles);
-        }
-        self.link.skip(cycles);
-        self.wheel.advance(cycles);
+impl<P: Copy + 'static> MultiChip<P> {
+    fn is_drained(&self) -> bool {
+        self.link.is_drained() && self.chips.iter().all(ClockedComponent::is_drained)
     }
 }
 
@@ -286,11 +205,10 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
         for chip in &self.chips {
             chip.save(w);
         }
-        self.link.save(w);
-        for row in &self.staged {
+        self.link.link.save(w);
+        for row in &self.link.staged {
             row.save(w);
         }
-        self.wheel.save(w);
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -305,11 +223,87 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
         for chip in &mut self.chips {
             chip.load(r)?;
         }
-        self.link.load(r)?;
-        for row in &mut self.staged {
+        self.link.link.load(r)?;
+        for row in &mut self.link.staged {
             row.load(r)?;
         }
-        self.wheel.load(r)
+        Ok(())
+    }
+}
+
+/// The inter-chip link plus the per-chip egress staging for packets the
+/// link has not yet accepted, clocked as one component.
+///
+/// Staged traffic is a `[src][dst]` remaining-count matrix, not a queue
+/// of materialized packets: every packet of a (src, dst) pair is
+/// identical and consumers discard them on arrival, so synthesizing
+/// packets at link-push time models the same cycles and counts in O(P²)
+/// memory instead of O(cut edges) per iteration. It also means the
+/// link's trajectory depends on the staged counts alone, never on the
+/// chips, which is what lets it drain on its own.
+struct StagedLink {
+    link: InterChipLink<ShardPacket>,
+    staged: Vec<Vec<u64>>,
+}
+
+impl StagedLink {
+    /// Packets staged but not yet accepted by the link.
+    fn staged_total(&self) -> u64 {
+        self.staged.iter().flatten().sum()
+    }
+
+    /// Drains the link's share of one scatter phase: each cycle runs the
+    /// inter-chip exchange unless a link-stall window is active at
+    /// `base + cycle` (in-flight packets keep moving through `tick`).
+    fn drain<Prog>(
+        &mut self,
+        scheduler: &mut Scheduler,
+        phase: &Phase<'_, Prog>,
+    ) -> Result<u64, DrainError> {
+        let Phase {
+            control,
+            faults,
+            base,
+            ..
+        } = *phase;
+        // Idle windows need no commit: with nothing staged and nothing
+        // arrived the exchange is a no-op.
+        let callback = |stage: &mut StagedLink, step: DrainStep| {
+            if let DrainStep::Cycle(cycle) = step {
+                if faults.is_none_or(|f| !f.link_stalled(base + cycle)) {
+                    exchange_link(&mut stage.link, &mut stage.staged);
+                }
+            }
+        };
+        scheduler.drain_ctrl(self, control, callback)
+    }
+}
+
+impl ClockedComponent for StagedLink {
+    fn tick(&mut self) {
+        self.link.tick();
+    }
+
+    fn in_flight(&self) -> usize {
+        self.link.in_flight() + self.staged_total() as usize
+    }
+
+    fn is_drained(&self) -> bool {
+        self.link.is_drained() && self.staged_total() == 0
+    }
+
+    /// Staged packets are offered — and their rejections counted — every
+    /// cycle until the link accepts them, so they pin the window to zero.
+    fn next_activity(&mut self) -> Option<u64> {
+        if self.staged_total() > 0 {
+            Some(0)
+        } else {
+            self.link.activity_window()
+        }
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        self.link.skip(cycles);
     }
 }
 
@@ -324,13 +318,13 @@ pub struct ShardedEngine<'g> {
     owner: Vec<usize>,
     /// Overrides the workload-derived stall guard when set.
     stall_guard: Option<u64>,
-    /// Event-driven fast-forward of idle lock-step cycles (on by
-    /// default; bit-identical — see `docs/simulation.md`).
+    /// Event-driven fast-forward of idle cycles in every chip and link
+    /// drain (on by default; bit-identical — see `docs/simulation.md`).
     fast_forward: bool,
-    /// Host worker threads for the lock-step drain (`None` = lease
-    /// whatever the shared [`CorePool`] has idle, up to one per chip,
-    /// at the start of every drain). Results are bit-identical for
-    /// every setting — see `docs/performance.md`.
+    /// Host worker threads leased for each iteration's drains (`None` =
+    /// whatever the shared [`CorePool`] has idle, up to one per chip).
+    /// Results are bit-identical for every setting — see
+    /// `docs/performance.md`.
     threads: Option<usize>,
 }
 
@@ -380,7 +374,8 @@ impl<'g> ShardedEngine<'g> {
     }
 
     /// Replaces the workload-derived stall guard with a fixed cycle
-    /// budget per lock-step drain (`None` restores the derived guard).
+    /// budget per chip and link drain (`None` restores the derived
+    /// guard).
     pub fn set_stall_guard(&mut self, guard: Option<u64>) {
         self.stall_guard = guard;
     }
@@ -391,25 +386,26 @@ impl<'g> ShardedEngine<'g> {
         self.fast_forward = on;
     }
 
-    /// Sets the host worker threads that tick the chips during the
-    /// lock-step drain. `None` (the default) leases currently-idle
-    /// workers from the process-wide [`CorePool`] at each drain — up to
-    /// one per chip — so chip-level parallelism composes with
+    /// Sets the host worker threads that drain the chips alongside the
+    /// calling thread. `None` (the default) leases currently-idle
+    /// workers from the process-wide [`CorePool`] each iteration — up
+    /// to one per chip — so chip-level parallelism composes with
     /// batch-level parallelism instead of oversubscribing the host.
     /// `Some(n)` demands an exact `n`-worker team (temporary threads
-    /// make up any shortfall); `Some(1)` forces the serial drain. Cycle
-    /// counts and every metric are **bit-identical** for every setting;
-    /// only host time changes. See `docs/performance.md`.
+    /// make up any shortfall); `Some(1)` leases nothing and runs every
+    /// drain on the calling thread. Cycle counts and every metric are
+    /// **bit-identical** for every setting; only host time changes. See
+    /// `docs/performance.md`.
     pub fn set_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;
     }
 
-    /// Worker threads a [`ShardedEngine::run`] drain uses at full pool
-    /// availability: the explicit override, or the resident pool's
-    /// worker count, capped at the chip count. Under the default
-    /// (`None`) policy the actual per-drain team can be smaller when
-    /// co-scheduled jobs keep pool workers busy; results are
-    /// bit-identical regardless.
+    /// Workers an iteration of [`ShardedEngine::run`] leases at full pool
+    /// availability, to drain beside the calling thread: the explicit
+    /// override, or the resident pool's worker count, capped at the chip
+    /// count. Under the default (`None`) policy the actual team can be
+    /// smaller when co-scheduled jobs keep pool workers busy; results
+    /// are bit-identical regardless.
     pub fn worker_threads(&self) -> usize {
         self.threads
             .unwrap_or_else(|| CorePool::global().workers())
@@ -439,18 +435,16 @@ impl<'g> ShardedEngine<'g> {
 
     /// Executes `program` across all chips to completion.
     ///
-    /// With more than one worker thread (see
-    /// [`ShardedEngine::set_threads`]) the chips of each lock-step cycle
-    /// tick concurrently — their slice graphs, metrics, and owned
-    /// tProperty intervals are disjoint — with a barrier before the
-    /// inter-chip exchange, so results stay bit-identical to the serial
-    /// drain.
+    /// Each iteration's scatter phase is P + 1 independent drains — one
+    /// per chip, one for the link — spread over the host threads chosen
+    /// by [`ShardedEngine::set_threads`]. Chips share no state inside a
+    /// phase, so results are bit-identical for every thread count.
     ///
     /// # Errors
     ///
-    /// Returns a [`StallDiagnostic`] if the lock-step drain of an
-    /// iteration fails to finish within its stall guard (a mis-sized
-    /// fabric, link, or memory configuration).
+    /// Returns a [`StallDiagnostic`] if a chip or the link fails to
+    /// drain an iteration within its stall guard (a mis-sized fabric,
+    /// link, or memory configuration).
     pub fn run<Prog>(
         &mut self,
         program: &Prog,
@@ -459,185 +453,13 @@ impl<'g> ShardedEngine<'g> {
         Prog: VertexProgram + Sync,
         Prog::Prop: Send,
     {
-        let config = self.factory.config();
-        let m = config.back_channels;
-        let frequency_ghz = config.effective_frequency_ghz();
-        let num_chips = self.shard.num_chips;
-        let graph = self.graph;
-        let num_v = graph.num_vertices();
-
-        let mut properties: Vec<Prog::Prop> = graph
-            .vertices()
-            .map(|v| program.init_prop(v, graph))
-            .collect();
-        let mut t_props: Vec<Prog::Prop> = vec![program.identity(); num_v as usize];
-        let mut multi = MultiChip {
-            chips: (0..num_chips)
-                .map(|_| ScatterPipeline::new(&self.factory))
-                .collect(),
-            link: InterChipLink::new(
-                num_chips,
-                self.shard.link_latency,
-                self.shard.link_bandwidth,
-                self.shard.link_capacity,
-            ),
-            staged: vec![vec![0u64; num_chips]; num_chips],
-            // `validate()` has already vetted the horizon, so this
-            // cannot fail for a config that reached `run`.
-            wheel: EventWheel::new(num_chips, config.wheel_horizon),
-        };
-        let faults = self.fault_runtime(&multi);
-        // Fault windows land on exact global cycles, so fault runs force
-        // per-cycle ticking.
-        let mut scheduler =
-            Scheduler::new().with_fast_forward(self.fast_forward && faults.is_none());
-        let fresh_metrics = || Metrics {
-            frequency_ghz,
-            vpe_starvation_per_channel: vec![0; m],
-            ..Metrics::default()
-        };
-        let mut chip_metrics: Vec<Metrics> = (0..num_chips).map(|_| fresh_metrics()).collect();
-        let mut agg = fresh_metrics();
-        let mut cross_chip_packets = 0u64;
-
-        let mut frontier: Vec<VertexId> = program.initial_frontier(graph);
-        while !frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if agg.iterations >= cap {
-                    break;
-                }
-            }
-            debug_assert!(
-                multi.is_drained(),
-                "a scatter phase must start from a drained multi-chip composite"
-            );
-
-            // Stage this iteration's cross-shard traffic: one packet per
-            // edge a chip will process from a remotely-owned source,
-            // counted per (source chip, destination chip) pair.
-            for &u in &frontier {
-                let src_chip = self.owner[u.index()];
-                for slice in &self.slices {
-                    if slice.index != src_chip {
-                        multi.staged[src_chip][slice.index] += slice.graph.out_degree(u);
-                    }
-                }
-            }
-            let staged = multi.staged_total();
-            cross_chip_packets += staged;
-
-            // Load the global frontier into every chip's front-end.
-            for chip in &mut multi.chips {
-                chip.front.load_frontier(&frontier, &properties);
-            }
-
-            // One lock-step drain: all chips plus the link, per cycle.
-            let iteration_edges: u64 = frontier.iter().map(|&v| graph.out_degree(v)).sum();
-            let guard = self.stall_guard.unwrap_or_else(|| {
-                derived_stall_guard(
-                    self.factory.config(),
-                    iteration_edges,
-                    frontier.len() as u64,
-                    num_chips as u64,
-                    staged,
-                ) + self.shard.link_latency
-            }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
-            let mut chip_cycles = vec![0u64; num_chips];
-            // Host cores are acquired per drain: an explicit override
-            // leases its exact team (temporary threads cover any
-            // shortfall), the default leases whatever the shared pool
-            // has idle *right now* — so this drain and concurrently
-            // running batch jobs split the host instead of
-            // oversubscribing it. An empty grant (fully busy pool),
-            // `Some(1)`, or a single chip takes the serial drain;
-            // results are bit-identical in every case.
-            // Fault runs force the serial drain: fault windows clock-gate
-            // individual chips per cycle, which the worker protocol does
-            // not model.
-            let lease = match self.threads {
-                _ if faults.is_some() => None,
-                Some(n) => {
-                    let team = n.clamp(1, num_chips);
-                    (team > 1).then(|| CorePool::global().lease_exact(team))
-                }
-                None if num_chips > 1 => {
-                    let lease = CorePool::global().lease(num_chips);
-                    (lease.team_size() > 0).then_some(lease)
-                }
-                None => None,
-            };
-            let drained = match &lease {
-                Some(lease) => self
-                    .drain_parallel(
-                        program,
-                        &mut multi,
-                        &mut t_props,
-                        &mut chip_metrics,
-                        &mut chip_cycles,
-                        lease,
-                        guard,
-                    )
-                    .map_err(DrainError::Stall),
-                None => {
-                    scheduler.set_stall_guard(guard);
-                    self.drain_serial(
-                        program,
-                        &mut multi,
-                        &mut t_props,
-                        &mut chip_metrics,
-                        &mut chip_cycles,
-                        &mut scheduler,
-                        None,
-                        faults.as_ref(),
-                        agg.scatter_cycles,
-                    )
-                }
-            };
-            drop(lease); // workers rejoin the stealing rotation
-            let spent = drained.map_err(|err| {
-                let stall = match err {
-                    DrainError::Stall(stall) => stall,
-                    DrainError::Interrupted { .. } => {
-                        // lint:allow(panic-freedom): a drain without a control has no cancellation path
-                        unreachable!("uncontrolled drain cannot be interrupted")
-                    }
-                };
-                StallDiagnostic {
-                    config: self.factory.config().name.clone(),
-                    num_chips,
-                    iteration: agg.iterations,
-                    iteration_edges,
-                    staged_packets: staged,
-                    stall,
-                }
-            })?;
-            agg.scatter_cycles += spent;
-            for (ci, cycles) in chip_cycles.iter().enumerate() {
-                chip_metrics[ci].scatter_cycles += *cycles;
-            }
-
-            // Apply: functionally global (bit-identity), cycle-wise each
-            // chip scans only its owned interval; the slowest chip gates
-            // the iteration.
-            apply_phase(program, graph, &mut properties, &mut t_props, &mut frontier);
-            let mut max_apply = 0u64;
-            for (ci, slice) in self.slices.iter().enumerate() {
-                let a = apply_cycles(slice.num_owned(), m);
-                chip_metrics[ci].apply_cycles += a;
-                chip_metrics[ci].iterations += 1;
-                max_apply = max_apply.max(a);
-            }
-            agg.apply_cycles += max_apply;
-            agg.iterations += 1;
+        let mut st = self.fresh_state(program);
+        let faults = self.fault_runtime(&st.multi);
+        while !st.frontier.is_empty() && !capped(program, &st.agg) {
+            let completed = self.iterate(program, &mut st, None, faults.as_ref())?;
+            debug_assert!(completed, "uncontrolled drain cannot be interrupted");
         }
-
-        Ok(finish_result(
-            agg,
-            chip_metrics,
-            &multi,
-            properties,
-            cross_chip_packets,
-        ))
+        Ok(finish_result(st))
     }
 
     /// Expands the configuration's fault plan against this engine's
@@ -652,175 +474,184 @@ impl<'g> ShardedEngine<'g> {
         })
     }
 
-    /// The serial lock-step drain: the whole [`MultiChip`] composite is
-    /// driven by the shared [`Scheduler`] on this thread. With
-    /// `control`, the drain polls for cancellation; with `faults`, each
-    /// drained cycle applies the fault windows active at `base + cycle`
-    /// of the global scatter timeline.
+    /// One VCPM iteration: stage the cross-shard traffic, drain the
+    /// scatter phase, then apply. Returns `Ok(false)` when `control`
+    /// interrupted the drain (the state is then mid-flight and must be
+    /// discarded).
+    ///
+    /// The scatter phase is P + 1 drains, each under its own
+    /// [`Scheduler`] with its own fast-forward: every chip, and the link
+    /// with its staged counts. The phase lasts as long as the longest of
+    /// them, and each component that finished early is padded with
+    /// `skip(phase − own)`. That is bit-identical to clocking them all
+    /// together, cycle by cycle, because chips never gain work
+    /// mid-drain, the link depends on the staged counts alone, and a
+    /// drained component is quiescent, so its padding equals the idle
+    /// ticks it would otherwise get (`docs/sharding.md`).
     ///
     /// # Errors
     ///
-    /// [`DrainError::Stall`] when the composite fails to drain within
-    /// the guard, [`DrainError::Interrupted`] when `control` observes a
-    /// cancellation mid-drain.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_serial<Prog: VertexProgram>(
+    /// Returns a [`StallDiagnostic`] if any drain exceeds the guard.
+    fn iterate<Prog>(
         &self,
         program: &Prog,
-        multi: &mut MultiChip<Prog::Prop>,
-        t_props: &mut [Prog::Prop],
-        chip_metrics: &mut [Metrics],
-        chip_cycles: &mut [u64],
-        scheduler: &mut Scheduler,
+        st: &mut ShardedRunState<Prog::Prop>,
         control: Option<&RunControl>,
         faults: Option<&FaultRuntime>,
-        base: u64,
-    ) -> Result<u64, DrainError> {
-        let mut t_slices = split_owned_intervals(t_props, &self.slices);
-        // `load_frontier` refilled the chips since the last drain, so
-        // every registered wake may be stale-late; re-register them all
-        // before the first window selection.
-        multi.wheel.mark_all_dirty();
-        let callback = |multi: &mut MultiChip<Prog::Prop>, step: DrainStep| {
-            let cycle = match step {
-                DrainStep::Cycle(cycle) => cycle,
-                DrainStep::Skipped { cycles, .. } => {
-                    // Idle window: no chip stepped, no link
-                    // traffic moved; commit each undrained
-                    // chip's per-cycle accounting (drained chips
-                    // idle without accruing starvation, exactly
-                    // as in the per-cycle branch below).
-                    for (ci, chip) in multi.chips.iter_mut().enumerate() {
-                        if !chip.is_drained() {
-                            chip.commit_idle(cycles, &mut chip_metrics[ci]);
-                        }
-                    }
-                    return;
-                }
-            };
-            // Fault windows index the *global* scatter timeline, so a
-            // window straddling an iteration (or checkpoint) boundary
-            // keeps holding the pipeline across drains.
-            let now = base + cycle;
-            for (ci, chip) in multi.chips.iter_mut().enumerate() {
-                // A drained chip idles (no starvation accrues)
-                // while slower chips and the link finish.
-                if chip.is_drained() {
-                    continue;
-                }
-                chip_cycles[ci] = cycle + 1;
-                if let Some(f) = faults {
-                    f.set_brownouts(now, |fault_chip, channel, active| {
-                        if fault_chip == ci {
-                            chip.mem.set_dram_channel_paused(channel, active);
-                        }
-                    });
-                    if f.chip_paused(now, ci) {
-                        // Clock-gated: held packets wait, nothing steps.
-                        continue;
-                    }
-                }
-                let slice_graph = &self.slices[ci].graph;
-                let (t_slice, t_base) = &mut t_slices[ci];
-                chip.back.step(
-                    program,
-                    slice_graph,
-                    t_slice,
-                    *t_base,
-                    &mut chip_metrics[ci],
-                );
-                chip.front.step(
-                    slice_graph,
-                    &mut chip.back.edge_access,
-                    &mut chip.mem,
-                    &mut chip_metrics[ci],
-                );
-            }
-            // The inter-chip exchange — one definition shared with the
-            // parallel drain, so the two paths cannot diverge. A link
-            // stall window refuses injections (in-flight packets keep
-            // moving through `tick`).
-            if faults.is_none_or(|f| !f.link_stalled(now)) {
-                exchange_link(&mut multi.link, &mut multi.staged);
-            }
-        };
-        match control {
-            Some(ctrl) => scheduler.drain_ctrl(multi, ctrl, callback),
-            None => scheduler
-                .drain_with(multi, callback)
-                .map_err(DrainError::Stall),
-        }
-    }
-
-    /// The parallel lock-step drain: chips tick on the lease's team
-    /// (pool workers, plus temporary threads for an exact override),
-    /// the link exchange and fast-forward control stay here, with a
-    /// barrier either side of each cycle ([`crate::parallel`]).
-    /// Bit-identical to [`ShardedEngine::drain_serial`].
-    ///
-    /// # Errors
-    ///
-    /// [`StallError`] when the composite fails to drain within the
-    /// guard, exactly as the serial drain reports it.
-    #[allow(clippy::too_many_arguments)]
-    fn drain_parallel<Prog>(
-        &self,
-        program: &Prog,
-        multi: &mut MultiChip<Prog::Prop>,
-        t_props: &mut [Prog::Prop],
-        chip_metrics: &mut [Metrics],
-        chip_cycles: &mut [u64],
-        lease: &CoreLease<'_>,
-        guard: u64,
-    ) -> Result<u64, StallError>
+    ) -> Result<bool, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: Send,
     {
-        let MultiChip {
-            chips,
-            link,
-            staged,
-            // The parallel drain computes the composite window from the
-            // workers' published per-chip activities; the wheel only
-            // serves the serial drain.
-            wheel: _,
-        } = multi;
-        let t_slices = split_owned_intervals(t_props, &self.slices);
-        let lanes: Vec<ChipLane<'_, Prog::Prop>> = self
-            .slices
-            .iter()
-            .zip(chips.iter_mut())
-            .zip(chip_metrics.iter_mut())
-            .zip(t_slices)
-            .map(|(((slice, chip), metrics), (t_slice, t_base))| ChipLane {
-                index: slice.index,
-                chip,
-                metrics,
-                t_props: t_slice,
-                t_base,
-                graph: &slice.graph,
-            })
-            .collect();
-        let outcome = drain_chips_parallel(
-            lanes,
-            link,
-            staged,
-            lease,
-            self.fast_forward,
-            guard,
+        let config = self.factory.config();
+        let num_chips = self.shard.num_chips;
+        let graph = self.graph;
+        debug_assert!(
+            st.multi.is_drained(),
+            "a scatter phase must start from drained chips and link"
+        );
+
+        // Stage this iteration's cross-shard traffic: one packet per
+        // edge a chip will process from a remotely-owned source, counted
+        // per (source chip, destination chip) pair.
+        let staged_rows = &mut st.multi.link.staged;
+        for &u in &st.frontier {
+            let src_chip = self.owner[u.index()];
+            for slice in &self.slices {
+                if slice.index != src_chip {
+                    staged_rows[src_chip][slice.index] += slice.graph.out_degree(u);
+                }
+            }
+        }
+        let staged = st.multi.link.staged_total();
+        st.cross_chip_packets += staged;
+
+        // Load the global frontier into every chip's front-end.
+        for chip in &mut st.multi.chips {
+            chip.front.load_frontier(&st.frontier, &st.properties);
+        }
+
+        let iteration_edges: u64 = st.frontier.iter().map(|&v| graph.out_degree(v)).sum();
+        let guard = self.stall_guard.unwrap_or_else(|| {
+            derived_stall_guard(
+                config,
+                iteration_edges,
+                st.frontier.len() as u64,
+                num_chips as u64,
+                staged,
+            ) + self.shard.link_latency
+        }) + faults.map_or(0, FaultRuntime::guard_bonus);
+        // Fault windows land on exact global cycles, so fault runs tick
+        // every cycle.
+        let fast_forward = self.fast_forward && faults.is_none();
+        let scheduler = || {
+            Scheduler::new()
+                .with_fast_forward(fast_forward)
+                .with_stall_guard(guard)
+        };
+        let phase = Phase {
             program,
-        )?;
-        chip_cycles.copy_from_slice(&outcome.chip_cycles);
-        Ok(outcome.spent)
+            control,
+            faults,
+            base: st.agg.scatter_cycles,
+        };
+
+        // Host cores are acquired per phase: an explicit override leases
+        // its exact team (temporary threads cover any shortfall), the
+        // default leases whatever the shared pool has idle *right now* —
+        // so this run and concurrently running batch jobs split the host
+        // instead of oversubscribing it. Without a lease the calling
+        // thread runs every drain back to back.
+        let lease = match self.threads {
+            Some(n) => {
+                let team = n.clamp(1, num_chips);
+                (team > 1).then(|| CorePool::global().lease_exact(team))
+            }
+            None if num_chips > 1 => {
+                let lease = CorePool::global().lease(num_chips);
+                (lease.team_size() > 0).then_some(lease)
+            }
+            None => None,
+        };
+        let MultiChip { chips, link } = &mut st.multi;
+        let lanes: Vec<_> = chips
+            .iter_mut()
+            .zip(st.chip_metrics.iter_mut())
+            .zip(split_owned_intervals(&mut st.t_props, &self.slices))
+            .zip(&self.slices)
+            .collect();
+        let (link_spent, chip_spent) = drain_all(
+            lease.as_ref(),
+            lanes,
+            || link.drain(&mut scheduler(), &phase),
+            |(((chip, metrics), owned), slice)| {
+                chip.drain(
+                    &mut scheduler(),
+                    &phase,
+                    slice.index,
+                    &slice.graph,
+                    owned,
+                    metrics,
+                )
+            },
+        );
+        drop(lease); // workers rejoin the stealing rotation
+
+        // Every drain of a stalled phase reports the same
+        // `StallError { cycles: guard, limit: guard }`, so the first
+        // error in component order stands for the phase.
+        let outcome: Result<Vec<u64>, DrainError> =
+            std::iter::once(link_spent).chain(chip_spent).collect();
+        let spent = match outcome {
+            Ok(spent) => spent,
+            Err(DrainError::Interrupted { .. }) => return Ok(false),
+            Err(DrainError::Stall(stall)) => {
+                return Err(StallDiagnostic {
+                    config: config.name.clone(),
+                    num_chips,
+                    iteration: st.agg.iterations,
+                    iteration_edges,
+                    staged_packets: staged,
+                    stall,
+                })
+            }
+        };
+        let phase_cycles = spent.iter().copied().max().unwrap_or(0);
+        link.skip(phase_cycles - spent[0]);
+        for ((chip, metrics), own) in chips.iter_mut().zip(&mut st.chip_metrics).zip(&spent[1..]) {
+            chip.skip(phase_cycles - own);
+            metrics.scatter_cycles += own;
+        }
+        st.agg.scatter_cycles += phase_cycles;
+
+        // Apply: functionally global (bit-identity), cycle-wise each chip
+        // scans only its owned interval; the slowest chip gates the
+        // iteration.
+        apply_phase(
+            program,
+            graph,
+            &mut st.properties,
+            &mut st.t_props,
+            &mut st.frontier,
+        );
+        let mut max_apply = 0u64;
+        for (metrics, slice) in st.chip_metrics.iter_mut().zip(&self.slices) {
+            let a = apply_cycles(slice.num_owned(), config.back_channels);
+            metrics.apply_cycles += a;
+            metrics.iterations += 1;
+            max_apply = max_apply.max(a);
+        }
+        st.agg.apply_cycles += max_apply;
+        st.agg.iterations += 1;
+        Ok(true)
     }
 
     /// Executes `program` under cooperative run control, exactly as
     /// [`crate::Engine::run_controlled`] does for the serial engine:
     /// `control` can cancel mid-drain or park at the next committed
     /// iteration boundary into a restorable [`Checkpoint`]. Controlled
-    /// runs always use the serial lock-step drain; a run that completes
-    /// is bit-identical to [`ShardedEngine::run`] at any thread count.
+    /// runs drain exactly as [`ShardedEngine::run`] does, on the same
+    /// host threads, and a run that completes is bit-identical to it.
     ///
     /// # Errors
     ///
@@ -832,8 +663,8 @@ impl<'g> ShardedEngine<'g> {
         control: &RunControl,
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
-        Prog: VertexProgram,
-        Prog::Prop: SnapValue,
+        Prog: VertexProgram + Sync,
+        Prog::Prop: SnapValue + Send,
     {
         let state = self.fresh_state(program);
         self.drive(program, control, state)
@@ -856,8 +687,8 @@ impl<'g> ShardedEngine<'g> {
         checkpoint: &[u8],
     ) -> Result<ShardedOutcome<Prog::Prop>, ControlError>
     where
-        Prog: VertexProgram,
-        Prog::Prop: SnapValue,
+        Prog: VertexProgram + Sync,
+        Prog::Prop: SnapValue + Send,
     {
         let mut state = self.fresh_state(program);
         self.load_checkpoint(&mut state, checkpoint)?;
@@ -866,8 +697,7 @@ impl<'g> ShardedEngine<'g> {
             .map_err(ControlError::Stall)
     }
 
-    /// The state [`ShardedEngine::run`] starts from, bundled for the
-    /// controlled paths (checkpoints restore over it).
+    /// The state every run starts from (checkpoints restore over it).
     fn fresh_state<Prog: VertexProgram>(&self, program: &Prog) -> ShardedRunState<Prog::Prop> {
         let config = self.factory.config();
         let num_chips = self.shard.num_chips;
@@ -888,14 +718,15 @@ impl<'g> ShardedEngine<'g> {
                 chips: (0..num_chips)
                     .map(|_| ScatterPipeline::new(&self.factory))
                     .collect(),
-                link: InterChipLink::new(
-                    num_chips,
-                    self.shard.link_latency,
-                    self.shard.link_bandwidth,
-                    self.shard.link_capacity,
-                ),
-                staged: vec![vec![0u64; num_chips]; num_chips],
-                wheel: EventWheel::new(num_chips, config.wheel_horizon),
+                link: StagedLink {
+                    link: InterChipLink::new(
+                        num_chips,
+                        self.shard.link_latency,
+                        self.shard.link_bandwidth,
+                        self.shard.link_capacity,
+                    ),
+                    staged: vec![vec![0u64; num_chips]; num_chips],
+                },
             },
             chip_metrics: (0..num_chips).map(|_| fresh_metrics()).collect(),
             agg: fresh_metrics(),
@@ -903,8 +734,8 @@ impl<'g> ShardedEngine<'g> {
         }
     }
 
-    /// The controlled run loop: [`ShardedEngine::run`]'s loop (serial
-    /// drain only) plus cancel checks and boundary parking.
+    /// The controlled run loop: [`ShardedEngine::run`]'s loop plus
+    /// cancel checks and boundary parking.
     fn drive<Prog>(
         &mut self,
         program: &Prog,
@@ -912,116 +743,22 @@ impl<'g> ShardedEngine<'g> {
         mut st: ShardedRunState<Prog::Prop>,
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
-        Prog: VertexProgram,
-        Prog::Prop: SnapValue,
+        Prog: VertexProgram + Sync,
+        Prog::Prop: SnapValue + Send,
     {
-        let config = self.factory.config();
-        let m = config.back_channels;
-        let num_chips = self.shard.num_chips;
-        let graph = self.graph;
         let faults = self.fault_runtime(&st.multi);
-        let mut scheduler =
-            Scheduler::new().with_fast_forward(self.fast_forward && faults.is_none());
-
-        while !st.frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if st.agg.iterations >= cap {
-                    break;
-                }
-            }
+        while !st.frontier.is_empty() && !capped(program, &st.agg) {
             if control.cancelled() {
                 return Ok(ShardedOutcome::Cancelled);
             }
             if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
                 return Ok(ShardedOutcome::Parked(self.save_checkpoint(&st)));
             }
-            debug_assert!(
-                st.multi.is_drained(),
-                "a scatter phase must start from a drained multi-chip composite"
-            );
-
-            for &u in &st.frontier {
-                let src_chip = self.owner[u.index()];
-                for slice in &self.slices {
-                    if slice.index != src_chip {
-                        st.multi.staged[src_chip][slice.index] += slice.graph.out_degree(u);
-                    }
-                }
+            if !self.iterate(program, &mut st, Some(control), faults.as_ref())? {
+                return Ok(ShardedOutcome::Cancelled);
             }
-            let staged = st.multi.staged_total();
-            st.cross_chip_packets += staged;
-
-            for chip in &mut st.multi.chips {
-                chip.front.load_frontier(&st.frontier, &st.properties);
-            }
-
-            let iteration_edges: u64 = st.frontier.iter().map(|&v| graph.out_degree(v)).sum();
-            let guard = self.stall_guard.unwrap_or_else(|| {
-                derived_stall_guard(
-                    config,
-                    iteration_edges,
-                    st.frontier.len() as u64,
-                    num_chips as u64,
-                    staged,
-                ) + self.shard.link_latency
-            }) + faults.as_ref().map_or(0, FaultRuntime::guard_bonus);
-            scheduler.set_stall_guard(guard);
-            let mut chip_cycles = vec![0u64; num_chips];
-            let drained = self.drain_serial(
-                program,
-                &mut st.multi,
-                &mut st.t_props,
-                &mut st.chip_metrics,
-                &mut chip_cycles,
-                &mut scheduler,
-                Some(control),
-                faults.as_ref(),
-                st.agg.scatter_cycles,
-            );
-            let spent = match drained {
-                Ok(spent) => spent,
-                Err(DrainError::Interrupted { .. }) => return Ok(ShardedOutcome::Cancelled),
-                Err(DrainError::Stall(stall)) => {
-                    return Err(StallDiagnostic {
-                        config: self.factory.config().name.clone(),
-                        num_chips,
-                        iteration: st.agg.iterations,
-                        iteration_edges,
-                        staged_packets: staged,
-                        stall,
-                    })
-                }
-            };
-            st.agg.scatter_cycles += spent;
-            for (ci, cycles) in chip_cycles.iter().enumerate() {
-                st.chip_metrics[ci].scatter_cycles += *cycles;
-            }
-
-            apply_phase(
-                program,
-                graph,
-                &mut st.properties,
-                &mut st.t_props,
-                &mut st.frontier,
-            );
-            let mut max_apply = 0u64;
-            for (ci, slice) in self.slices.iter().enumerate() {
-                let a = apply_cycles(slice.num_owned(), m);
-                st.chip_metrics[ci].apply_cycles += a;
-                st.chip_metrics[ci].iterations += 1;
-                max_apply = max_apply.max(a);
-            }
-            st.agg.apply_cycles += max_apply;
-            st.agg.iterations += 1;
         }
-
-        Ok(ShardedOutcome::Done(finish_result(
-            st.agg,
-            st.chip_metrics,
-            &st.multi,
-            st.properties,
-            st.cross_chip_packets,
-        )))
+        Ok(ShardedOutcome::Done(finish_result(st)))
     }
 
     /// Serializes a boundary state: identity context (graph hash,
@@ -1145,17 +882,27 @@ struct ShardedRunState<P> {
     cross_chip_packets: u64,
 }
 
+/// Whether `program`'s iteration cap stops the run before another
+/// iteration.
+fn capped<Prog: VertexProgram>(program: &Prog, agg: &Metrics) -> bool {
+    program
+        .max_iterations()
+        .is_some_and(|cap| agg.iterations >= cap)
+}
+
 /// Final metric harvest and merge, shared by [`ShardedEngine::run`] and
 /// the controlled completion path so the two cannot diverge.
-fn finish_result<P: Copy + 'static>(
-    mut agg: Metrics,
-    mut chip_metrics: Vec<Metrics>,
-    multi: &MultiChip<P>,
-    properties: Vec<P>,
-    cross_chip_packets: u64,
-) -> ShardedRunResult<P> {
-    for (ci, chip) in multi.chips.iter().enumerate() {
-        finalize_metrics(&mut chip_metrics[ci], chip);
+fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<P> {
+    let ShardedRunState {
+        properties,
+        multi,
+        mut chip_metrics,
+        mut agg,
+        cross_chip_packets,
+        ..
+    } = st;
+    for (metrics, chip) in chip_metrics.iter_mut().zip(&multi.chips) {
+        finalize_metrics(metrics, chip);
     }
     for chip in &chip_metrics {
         agg.edges_processed += chip.edges_processed;
@@ -1170,21 +917,19 @@ fn finish_result<P: Copy + 'static>(
         agg.memory.merge(&chip.memory);
     }
     agg.cycles = agg.scatter_cycles + agg.apply_cycles;
-    // lint:allow(panic-freedom): infallible: every link constructor installs a stats block
-    let link = multi.link.network_stats().expect("links keep stats");
     ShardedRunResult {
         properties,
         metrics: agg,
         chips: chip_metrics,
         cross_chip_packets,
-        link,
+        link: *multi.link.link.stats(),
     }
 }
 
 /// The host's available parallelism (the ceiling the shared
 /// [`CorePool`] sizes itself from). [`ShardedEngine::set_threads`]`(None)`
 /// no longer pins to this number — it leases idle pool workers per
-/// drain — but harnesses still report it as the host context for a
+/// iteration — but harnesses still report it as the host context for a
 /// measurement.
 pub fn auto_worker_threads() -> usize {
     std::thread::available_parallelism()
@@ -1195,7 +940,7 @@ pub fn auto_worker_threads() -> usize {
 /// Splits the global tProperty array into the per-chip owned intervals
 /// of `slices` (destination-interval partitions are contiguous, in
 /// order, and covering), returning each chip's window plus its base
-/// vertex id. Disjointness is what lets chips step concurrently.
+/// vertex id. Disjointness is what lets chips drain concurrently.
 fn split_owned_intervals<'t, P>(t_props: &'t mut [P], slices: &[Slice]) -> Vec<(&'t mut [P], u32)> {
     let mut out = Vec::with_capacity(slices.len());
     let mut remaining = t_props;
@@ -1381,6 +1126,19 @@ mod tests {
             assert_eq!(fast.link, naive.link);
             assert_eq!(fast.cross_chip_packets, naive.cross_chip_packets);
         }
+    }
+
+    #[test]
+    fn parallel_drains_record_window_selections() {
+        // Every chip and link drain runs through a `Scheduler`, so the
+        // leased team's window selections reach the process-wide tally.
+        let g = power_law(300, 2700, 2.0, 31, 79);
+        let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
+        engine.set_threads(Some(4));
+        let before = higraph_sim::selection::snapshot();
+        engine.run(&PageRank::new(2)).expect("no stall");
+        let delta = higraph_sim::selection::snapshot().since(&before);
+        assert!(delta.wheel_windows + delta.poll_windows > 0, "{delta:?}");
     }
 
     #[test]

@@ -259,7 +259,7 @@ pub fn fig11(scale: Scale) -> Vec<ScalabilityRow> {
 /// The measured values of one multi-chip sweep cell.
 #[derive(Debug, Clone)]
 pub struct ShardPoint {
-    /// Aggregate critical-path cycles (lock-step scatter + slowest apply).
+    /// Aggregate critical-path cycles (longest drain + slowest apply).
     pub cycles: u64,
     /// Edge traversals across all chips.
     pub edges: u64,

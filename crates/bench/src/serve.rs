@@ -70,9 +70,9 @@
 //! instead of burning another stall-guard's worth of host time. The memo
 //! is a bounded [`LruCache`]; evictions show up in `stats`.
 //!
-//! Jobs execute through [`Algo::run_sharded_controlled`], whose
-//! lock-step drains poll the per-job [`RunControl`] for cancellation
-//! and parking at committed boundaries.
+//! Jobs execute through [`Algo::run_sharded_controlled`], whose chip
+//! and link drains poll the per-job [`RunControl`] for cancellation,
+//! and which parks at committed iteration boundaries.
 
 use crate::memo::LruCache;
 use crate::report::{parse_flat_json_values, write_json_number, write_json_string, JsonValue};
@@ -92,7 +92,7 @@ const MEMO_CAPACITY: usize = 256;
 enum MemoEntry {
     /// Completed: aggregate cycle count and throughput.
     Ok { cycles: u64, gteps: f64 },
-    /// The configuration stalled its lock-step drain.
+    /// The configuration stalled a chip or link drain.
     Stalled,
 }
 

@@ -118,16 +118,17 @@ impl Algo {
     /// Runs this algorithm across `shard.num_chips` chips and returns the
     /// property-erased summary the multi-chip sweeps report.
     ///
-    /// Uses the default (auto) threading: each lock-step drain leases
-    /// whatever workers the shared `higraph_pool::CorePool` has idle at
-    /// that moment, so chip-level parallelism composes with the sweep
-    /// harnesses' batch-level parallelism instead of oversubscribing the
-    /// host. Results are bit-identical for any worker count;
-    /// [`Algo::run_sharded_threads`] exposes the explicit override.
+    /// Uses the default (auto) threading: each iteration's chip drains
+    /// lease whatever workers the shared `higraph_pool::CorePool` has
+    /// idle at that moment, so chip-level parallelism composes with the
+    /// sweep harnesses' batch-level parallelism instead of
+    /// oversubscribing the host. Results are bit-identical for any
+    /// worker count; [`Algo::run_sharded_threads`] exposes the explicit
+    /// override.
     ///
     /// # Errors
     ///
-    /// Returns the [`StallDiagnostic`] of a stalled lock-step drain.
+    /// Returns the [`StallDiagnostic`] of a stalled chip or link drain.
     pub fn run_sharded(
         self,
         config: &AcceleratorConfig,
@@ -140,13 +141,13 @@ impl Algo {
 
     /// [`Algo::run_sharded`] with explicit control over the engine's
     /// intra-run worker threads (`None` = lease idle pool workers per
-    /// drain, up to one per chip; `Some(1)` = serial drain). Results are
-    /// bit-identical for every setting — `tests/thread_determinism.rs`
-    /// asserts it; only host time changes.
+    /// iteration, up to one per chip; `Some(1)` = every drain on the
+    /// calling thread). Results are bit-identical for every setting —
+    /// `tests/thread_determinism.rs` asserts it; only host time changes.
     ///
     /// # Errors
     ///
-    /// Returns the [`StallDiagnostic`] of a stalled lock-step drain.
+    /// Returns the [`StallDiagnostic`] of a stalled chip or link drain.
     pub fn run_sharded_threads(
         self,
         config: &AcceleratorConfig,
@@ -206,8 +207,8 @@ impl Algo {
             checkpoint: Option<&[u8]>,
         ) -> Result<ControlledOutcome, ControlError>
         where
-            Prog: VertexProgram,
-            Prog::Prop: higraph::sim::SnapValue,
+            Prog: VertexProgram + Sync,
+            Prog::Prop: higraph::sim::SnapValue + Send,
         {
             let outcome = match checkpoint {
                 Some(bytes) => engine.resume_controlled(prog, control, bytes)?,

@@ -1,11 +1,11 @@
 //! Core leases: intra-run parallelism on top of the pool.
 //!
-//! A lock-step drain (the P-chips-on-P-threads protocol in
-//! `higraph_accel::parallel`) needs *dedicated* participants for its
-//! barrier cadence, not queued tasks that might wait behind other work.
-//! [`CorePool::lease`] reserves currently-idle workers for exactly that:
-//! a leased worker leaves the stealing rotation and serves only the
-//! lease's team tasks until the lease drops. Because a lease can only
+//! A sharded iteration's chip drains (`higraph_accel::parallel`) want
+//! *dedicated* participants that start at once, not queued tasks that
+//! might wait behind other work. [`CorePool::lease`] reserves
+//! currently-idle workers for exactly that: a leased worker leaves the
+//! stealing rotation and serves only the lease's team tasks until the
+//! lease drops. Because a lease can only
 //! claim idle workers, chip drains and batch jobs share the host
 //! gracefully — a core busy simulating one job is never yanked into
 //! another job's drain; it simply isn't granted, and the drain runs with
@@ -94,9 +94,7 @@ impl CoreLease<'_> {
     /// call returns when the coordinator *and* every task have finished.
     ///
     /// A task panic is re-raised here after the whole team has wound
-    /// down (the coordinator's exit protocol is expected to notice and
-    /// release the others, exactly as the lock-step drain does); a
-    /// coordinator panic is re-raised after the tasks finish.
+    /// down; a coordinator panic is re-raised after the tasks finish.
     ///
     /// # Panics
     ///

@@ -13,10 +13,10 @@
 //!   what [`BatchRunner`](../higraph_accel/struct.BatchRunner.html)
 //!   executes sweeps through.
 //! * [`CoreLease`] / [`CoreLease::run_team`] — intra-run parallelism.
-//!   A running drain *leases* currently-idle workers, hands each one a
-//!   long-lived team task (a lock-step drain participant), runs its own
-//!   coordinator role on the calling thread, and releases the workers
-//!   when the drain completes. Leases only ever claim idle workers, so
+//!   A sharded iteration *leases* currently-idle workers, hands each one
+//!   a team task (pulling chip drains from a shared cursor), works the
+//!   same cursor on the calling thread, and releases the workers when
+//!   the drains complete. Leases only ever claim idle workers, so
 //!   batch jobs and chip drains compose without oversubscription —
 //!   except [`CorePool::lease_exact`], which tops a short grant up with
 //!   temporary threads for callers that *require* a worker count (the
@@ -26,10 +26,11 @@
 //! # Determinism contract
 //!
 //! The pool schedules *host work*; it never touches simulated state.
-//! Every caller in this workspace (batch sweeps, lock-step drains, the
+//! Every caller in this workspace (batch sweeps, chip drains, the
 //! `higraph-serve` queue) produces bit-identical results regardless of
 //! worker count, steal order, or co-scheduled jobs — `run_ordered`
-//! preserves item order, and team protocols carry their own barriers.
+//! preserves item order, and team callers combine their results in a
+//! fixed order after the join.
 //!
 //! # Soundness
 //!

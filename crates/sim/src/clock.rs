@@ -450,8 +450,8 @@ impl Scheduler {
         })
     }
 
-    /// Like [`Scheduler::drain_with`], but polls `control` for
-    /// cooperative cancellation every
+    /// Like [`Scheduler::drain_with`], but polls `control`, when given,
+    /// for cooperative cancellation every
     /// [`crate::control::CANCEL_POLL_INTERVAL`] drained cycles. A run
     /// that completes is bit-identical to an uncontrolled drain —
     /// polling never alters simulated behaviour.
@@ -468,14 +468,14 @@ impl Scheduler {
     pub fn drain_ctrl<C, F>(
         &mut self,
         component: &mut C,
-        control: &crate::control::RunControl,
+        control: Option<&crate::control::RunControl>,
         f: F,
     ) -> Result<u64, DrainError>
     where
         C: ClockedComponent + ?Sized,
         F: FnMut(&mut C, DrainStep),
     {
-        self.drain_impl(component, Some(control), f)
+        self.drain_impl(component, control, f)
     }
 
     fn drain_impl<C, F>(

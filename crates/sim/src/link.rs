@@ -11,7 +11,7 @@
 //! The component follows the crate's per-cycle protocol ([`Network`] on
 //! top of [`ClockedComponent`]) and is driven by the same
 //! [`crate::Scheduler`] that clocks the chip pipelines, so a multi-chip
-//! composite drains compute and communication under one clock.
+//! run drains compute and communication on one cycle timeline.
 //!
 //! # Timing contract
 //!
@@ -79,9 +79,8 @@ impl<T: Packet> InterChipLink<T> {
     /// The pure `&self` form of the link's activity window.
     ///
     /// This is the same value `ClockedComponent::next_activity` reports;
-    /// it is kept as an inherent method so skip debug-asserts, composite
-    /// event-wheel window closures, and the legacy poll oracle can query
-    /// it without a mutable borrow.
+    /// it is kept as an inherent method so skip debug-asserts and the
+    /// owning composite can query it without a mutable borrow.
     pub fn activity_window(&self) -> Option<u64> {
         if self.ingress.iter().any(|q| !q.is_empty()) {
             return Some(0);

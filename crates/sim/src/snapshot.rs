@@ -39,8 +39,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 /// Current snapshot wire-format version. Bump on any layout change;
-/// loads reject other versions with a precise error.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// loads reject other versions with a precise error. Version 2 dropped
+/// the sharded executor's chip event wheel from the `MCHP` layout.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";
@@ -663,13 +664,15 @@ mod tests {
             .context
             .contains("magic"));
 
-        // future version
-        let mut future = bytes.clone();
-        future[4] = 99;
-        assert!(SnapReader::open(&future)
-            .unwrap_err()
-            .context
-            .contains("version"));
+        // a previous and a future version
+        for version in [1u32, 99] {
+            let mut skewed = bytes.clone();
+            skewed[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(SnapReader::open(&skewed)
+                .unwrap_err()
+                .context
+                .contains(&format!("version {version} unsupported")));
+        }
 
         // truncation
         assert!(SnapReader::open(&bytes[..10]).is_err());

@@ -104,6 +104,53 @@ fn parallel_drain_reports_stalls_like_serial() {
     }
 }
 
+#[test]
+fn fault_plan_run_is_bit_identical_across_worker_threads() {
+    // Fault windows pause chips, brown out DRAM channels and stall the
+    // link on the global cycle timeline, inside each per-chip drain.
+    let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 101);
+    let prog = PageRank::new(2);
+    let clean = run_with_threads(&AcceleratorConfig::higraph(), &g, &prog, 1, true);
+    let mut cfg = AcceleratorConfig::higraph();
+    cfg.memory = Some(MemoryConfig::hbm2().with_cache_kb(16));
+    cfg.fault_plan = Some(FaultPlan {
+        seed: 11,
+        events: 12,
+        max_duration: 200,
+        horizon: clean.1.scatter_cycles,
+    });
+    assert_identical_across_thread_counts(&cfg, &g, &prog);
+}
+
+#[test]
+fn parked_and_resumed_run_is_bit_identical_across_worker_threads() {
+    let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 103);
+    let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
+    let prog = Sssp::from_source(src);
+    let run = |threads: usize| {
+        let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
+        engine.set_threads(Some(threads));
+        let control = RunControl::new();
+        control.set_budget_cycles(Some(1));
+        let parked = match engine.run_controlled(&prog, &control).expect("no stall") {
+            ShardedOutcome::Parked(ck) => ck,
+            other => panic!("expected a parked run, got {other:?}"),
+        };
+        control.set_budget_cycles(None);
+        match engine
+            .resume_controlled(&prog, &control, &parked.bytes)
+            .expect("resumes")
+        {
+            ShardedOutcome::Done(r) => (r.properties, r.metrics, r.chips, r.link),
+            other => panic!("expected completion, got {other:?}"),
+        }
+    };
+    let serial = run(1);
+    for threads in [2usize, 8] {
+        assert_eq!(run(threads), serial, "{threads} threads");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pool stress suite: the shared work-stealing CorePool under
 // oversubscription, randomized injection order, and mid-run
