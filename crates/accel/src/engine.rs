@@ -7,10 +7,14 @@
 //! Sec. 5.3 large-graph schedule: destination-interval slices processed
 //! back to back, with single- or double-buffered slice replacement.
 //!
+//! An [`Engine`] is a one-chip [`ShardedEngine`]: serial, sliced and
+//! sharded runs share one run driver and one iteration body
+//! (`crate::sharded`), so no mode can drift from another.
+//!
 //! # Pipeline
 //!
-//! The scatter pipeline is split across two composable stages driven by
-//! the shared [`higraph_sim::Scheduler`]:
+//! One chip is a `ScatterPipeline`, split across two composable stages
+//! driven by the shared [`higraph_sim::Scheduler`]:
 //!
 //! * `backend::BackEnd` — stages 1–3 (vPE reduce, ePE
 //!   process-edge, edge-bank reads), evaluated consumer-first so data
@@ -18,12 +22,11 @@
 //! * `frontend::FrontEnd` — stages 4–6 (Replay Engines, Offset
 //!   Array arbitration, ActiveVertex fetch).
 //!
-//! Each scatter phase is one [`Scheduler::drain`] call over the combined
-//! `ScatterPipeline`; there is no hand-rolled clock loop here. The
-//! apply phase (identical for all designs) is modeled analytically in
-//! the `apply` module.
+//! A chip's share of a scatter phase is one [`Scheduler::drain`] call
+//! over its pipeline; there is no hand-rolled clock loop here. The apply
+//! phase (identical for all designs) is modeled analytically in the
+//! `apply` module.
 
-use crate::apply::{apply_cycles, apply_phase};
 use crate::backend::BackEnd;
 use crate::cache::MemorySubsystem;
 use crate::config::AcceleratorConfig;
@@ -31,11 +34,11 @@ use crate::faults::FaultRuntime;
 use crate::frontend::FrontEnd;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use higraph_graph::slicing::{partition, slice_swap_cycles, Slice};
-use higraph_graph::{Csr, VertexId};
+use crate::sharded::{ShardConfig, ShardedEngine, ShardedOutcome, ShardedRunResult};
+use higraph_graph::Csr;
 use higraph_sim::{
-    content_checksum, ClockedComponent, DrainError, DrainStep, RunControl, Scheduler, SnapError,
-    SnapReader, SnapValue, SnapWriter, Snapshot, StallError,
+    ClockedComponent, DrainError, DrainStep, RunControl, Scheduler, SnapError, SnapReader,
+    SnapValue, SnapWriter, Snapshot, StallError,
 };
 use higraph_vcpm::VertexProgram;
 use std::fmt;
@@ -124,8 +127,8 @@ impl<P> SlicedRunResult<P> {
 }
 
 /// The whole scatter pipeline: front-end and back-end clocked as one
-/// component by the scheduler. One instance is one chip; the sharded
-/// executor (`crate::sharded`) drains several of them, each on its own.
+/// component by the scheduler. One instance is one chip; the run driver
+/// (`crate::sharded`) drains one per chip, each on its own.
 pub(crate) struct ScatterPipeline<P> {
     pub(crate) front: FrontEnd<P>,
     pub(crate) back: BackEnd<P>,
@@ -354,28 +357,12 @@ impl From<StallDiagnostic> for ControlError {
     }
 }
 
-/// The complete per-run state of a serial engine between iteration
-/// boundaries — everything a checkpoint must capture.
-struct SerialRunState<P> {
-    properties: Vec<P>,
-    t_props: Vec<P>,
-    frontier: Vec<VertexId>,
-    pipeline: ScatterPipeline<P>,
-    metrics: Metrics,
-}
-
-/// A cycle-level accelerator instance bound to a graph.
+/// A one-chip accelerator instance bound to a graph: the paper's single
+/// HiGraph chip, run on the whole graph or slice by slice. It is a
+/// [`ShardedEngine`] with one chip, whose one interval is the borrowed
+/// input graph.
 #[derive(Debug)]
-pub struct Engine<'g> {
-    factory: NetworkFactory,
-    graph: &'g Csr,
-    /// Overrides the workload-derived stall guard when set (bounding
-    /// simulation time for serving deployments and stall-path tests).
-    stall_guard: Option<u64>,
-    /// Event-driven fast-forward of idle scatter cycles (on by default;
-    /// bit-identical to per-cycle ticking — see `docs/simulation.md`).
-    fast_forward: bool,
-}
+pub struct Engine<'g>(ShardedEngine<'g>);
 
 impl<'g> Engine<'g> {
     /// Creates an engine for `graph` under `config`.
@@ -396,17 +383,12 @@ impl<'g> Engine<'g> {
     ///
     /// Returns the validation message for invalid configurations.
     pub fn try_new(config: AcceleratorConfig, graph: &'g Csr) -> Result<Self, String> {
-        Ok(Engine {
-            factory: NetworkFactory::new(&config)?,
-            graph,
-            stall_guard: None,
-            fast_forward: true,
-        })
+        ShardedEngine::try_new(config, ShardConfig::new(1), graph).map(Engine)
     }
 
     /// The configuration this engine simulates.
     pub fn config(&self) -> &AcceleratorConfig {
-        self.factory.config()
+        self.0.config()
     }
 
     /// Replaces the workload-derived stall guard with a fixed cycle
@@ -414,7 +396,7 @@ impl<'g> Engine<'g> {
     /// run that exceeds it fails with a [`StallDiagnostic`] instead of
     /// simulating indefinitely.
     pub fn set_stall_guard(&mut self, guard: Option<u64>) {
-        self.stall_guard = guard;
+        self.0.set_stall_guard(guard);
     }
 
     /// Enables or disables the event-driven fast-forward of idle scatter
@@ -423,24 +405,7 @@ impl<'g> Engine<'g> {
     /// performance to per-cycle ticking (the `simspeed` repro target
     /// measures the difference).
     pub fn set_fast_forward(&mut self, on: bool) {
-        self.fast_forward = on;
-    }
-
-    /// Fault windows land on exact global cycles, so a fault plan forces
-    /// per-cycle ticking regardless of the fast-forward setting.
-    fn scheduler(&self) -> Scheduler {
-        let fast = self.fast_forward && self.factory.config().fault_plan.is_none();
-        Scheduler::new().with_fast_forward(fast)
-    }
-
-    /// Expands the configuration's fault plan (if any) for this serial,
-    /// single-chip engine.
-    fn fault_runtime(&self, dram_channels: usize) -> Option<FaultRuntime> {
-        self.factory
-            .config()
-            .fault_plan
-            .as_ref()
-            .map(|plan| FaultRuntime::new(plan, 1, dram_channels))
+        self.0.set_fast_forward(on);
     }
 
     /// Executes `program` to completion and returns properties + metrics.
@@ -450,57 +415,11 @@ impl<'g> Engine<'g> {
     /// Returns a [`StallDiagnostic`] if a scatter phase fails to drain
     /// within its stall guard (a mis-sized fabric or memory
     /// configuration); the run's partial work is discarded.
-    pub fn run<Prog: VertexProgram>(
+    pub fn run<Prog: VertexProgram + Sync>(
         &mut self,
         program: &Prog,
     ) -> Result<RunResult<Prog::Prop>, StallDiagnostic> {
-        let config = self.factory.config();
-        let m = config.back_channels;
-        let graph = self.graph;
-        let num_v = graph.num_vertices();
-
-        let mut properties: Vec<Prog::Prop> = graph
-            .vertices()
-            .map(|v| program.init_prop(v, graph))
-            .collect();
-        let mut t_props: Vec<Prog::Prop> = vec![program.identity(); num_v as usize];
-        let mut pipeline = ScatterPipeline::new(&self.factory);
-        let mut scheduler = self.scheduler();
-        let mut metrics = Metrics {
-            frequency_ghz: config.effective_frequency_ghz(),
-            vpe_starvation_per_channel: vec![0; m],
-            ..Metrics::default()
-        };
-
-        let faults = self.fault_runtime(pipeline.mem.dram_channels());
-        let mut frontier: Vec<VertexId> = program.initial_frontier(graph);
-        while !frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if metrics.iterations >= cap {
-                    break;
-                }
-            }
-            self.simulate_scatter(
-                program,
-                graph,
-                &frontier,
-                &properties,
-                &mut t_props,
-                &mut pipeline,
-                &mut scheduler,
-                &mut metrics,
-                faults.as_ref(),
-            )?;
-            apply_phase(program, graph, &mut properties, &mut t_props, &mut frontier);
-            metrics.apply_cycles += apply_cycles(num_v, m);
-            metrics.iterations += 1;
-        }
-
-        finalize_metrics(&mut metrics, &pipeline);
-        Ok(RunResult {
-            properties,
-            metrics,
-        })
+        self.0.run(program).map(serial_result)
     }
 
     /// Executes `program` under cooperative run control: `control` can
@@ -519,11 +438,10 @@ impl<'g> Engine<'g> {
         control: &RunControl,
     ) -> Result<RunOutcome<Prog::Prop>, StallDiagnostic>
     where
-        Prog: VertexProgram,
+        Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
-        let state = self.fresh_state(program);
-        self.drive(program, control, state)
+        self.0.run_controlled(program, control).map(serial_outcome)
     }
 
     /// Continues a parked run from `checkpoint` under `control`. The
@@ -545,183 +463,12 @@ impl<'g> Engine<'g> {
         checkpoint: &[u8],
     ) -> Result<RunOutcome<Prog::Prop>, ControlError>
     where
-        Prog: VertexProgram,
+        Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
-        let mut state = self.fresh_state(program);
-        self.load_checkpoint(&mut state, checkpoint)?;
-        control.clear_park();
-        self.drive(program, control, state)
-            .map_err(ControlError::Stall)
-    }
-
-    /// The state [`Engine::run`] starts from, bundled for the controlled
-    /// paths (checkpoints restore over it).
-    fn fresh_state<Prog: VertexProgram>(&self, program: &Prog) -> SerialRunState<Prog::Prop> {
-        let config = self.factory.config();
-        SerialRunState {
-            properties: self
-                .graph
-                .vertices()
-                .map(|v| program.init_prop(v, self.graph))
-                .collect(),
-            t_props: vec![program.identity(); self.graph.num_vertices() as usize],
-            frontier: program.initial_frontier(self.graph),
-            pipeline: ScatterPipeline::new(&self.factory),
-            metrics: Metrics {
-                frequency_ghz: config.effective_frequency_ghz(),
-                vpe_starvation_per_channel: vec![0; config.back_channels],
-                ..Metrics::default()
-            },
-        }
-    }
-
-    /// The controlled run loop: [`Engine::run`]'s loop plus cancel
-    /// checks and boundary parking. Cancellation discards the partial
-    /// state wholesale, so mid-drain mutations never leak.
-    fn drive<Prog>(
-        &mut self,
-        program: &Prog,
-        control: &RunControl,
-        mut st: SerialRunState<Prog::Prop>,
-    ) -> Result<RunOutcome<Prog::Prop>, StallDiagnostic>
-    where
-        Prog: VertexProgram,
-        Prog::Prop: SnapValue,
-    {
-        let graph = self.graph;
-        let m = self.factory.config().back_channels;
-        let num_v = graph.num_vertices();
-        let mut scheduler = self.scheduler();
-        let faults = self.fault_runtime(st.pipeline.mem.dram_channels());
-        while !st.frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if st.metrics.iterations >= cap {
-                    break;
-                }
-            }
-            if control.cancelled() {
-                return Ok(RunOutcome::Cancelled);
-            }
-            if control.should_park(st.metrics.scatter_cycles + st.metrics.apply_cycles) {
-                return Ok(RunOutcome::Parked(self.save_checkpoint(&st)));
-            }
-            let completed = self.scatter_phase(
-                program,
-                graph,
-                &st.frontier,
-                &st.properties,
-                &mut st.t_props,
-                &mut st.pipeline,
-                &mut scheduler,
-                &mut st.metrics,
-                Some(control),
-                faults.as_ref(),
-            )?;
-            if !completed {
-                return Ok(RunOutcome::Cancelled);
-            }
-            apply_phase(
-                program,
-                graph,
-                &mut st.properties,
-                &mut st.t_props,
-                &mut st.frontier,
-            );
-            st.metrics.apply_cycles += apply_cycles(num_v, m);
-            st.metrics.iterations += 1;
-        }
-
-        finalize_metrics(&mut st.metrics, &st.pipeline);
-        Ok(RunOutcome::Done(RunResult {
-            properties: st.properties,
-            metrics: st.metrics,
-        }))
-    }
-
-    /// Serializes a boundary state: identity context (graph hash,
-    /// canonical configuration encoding) followed by the run variables
-    /// and the full pipeline.
-    fn save_checkpoint<P: SnapValue + 'static>(&self, st: &SerialRunState<P>) -> Checkpoint {
-        let mut w = SnapWriter::new();
-        w.tag(b"ENGC");
-        w.u64(self.graph.content_hash());
-        w.u64(content_checksum(
-            self.factory.config().canonical_encoding().as_bytes(),
-        ));
-        st.metrics.save(&mut w);
-        w.usize(st.frontier.len());
-        for v in &st.frontier {
-            w.u32(v.0);
-        }
-        w.seq(st.properties.iter());
-        w.seq(st.t_props.iter());
-        st.pipeline.save(&mut w);
-        Checkpoint {
-            bytes: w.finish(),
-            cycles: st.metrics.scatter_cycles + st.metrics.apply_cycles,
-            iterations: st.metrics.iterations,
-        }
-    }
-
-    /// Restores a checkpoint over a freshly initialized state, verifying
-    /// the identity context first.
-    fn load_checkpoint<P: SnapValue + 'static>(
-        &self,
-        st: &mut SerialRunState<P>,
-        checkpoint: &[u8],
-    ) -> Result<(), SnapError> {
-        let num_v = self.graph.num_vertices() as usize;
-        let mut r = SnapReader::open(checkpoint)?;
-        r.expect_tag(b"ENGC")?;
-        let graph_hash = r.u64()?;
-        if graph_hash != self.graph.content_hash() {
-            return Err(SnapError::new(
-                "checkpoint was taken on a different graph (content hash mismatch)",
-            ));
-        }
-        let config_sum = r.u64()?;
-        let live_sum = content_checksum(self.factory.config().canonical_encoding().as_bytes());
-        if config_sum != live_sum {
-            return Err(SnapError::new(
-                "checkpoint was taken under a different accelerator configuration",
-            ));
-        }
-        st.metrics.load(&mut r)?;
-        let frontier_len = r.usize()?;
-        if frontier_len > num_v {
-            return Err(SnapError::new(format!(
-                "frontier length {frontier_len} exceeds vertex count {num_v}"
-            )));
-        }
-        st.frontier.clear();
-        for _ in 0..frontier_len {
-            let raw = r.u32()?;
-            if raw as usize >= num_v {
-                return Err(SnapError::new(format!(
-                    "frontier vertex {raw} out of range (graph has {num_v})"
-                )));
-            }
-            st.frontier.push(VertexId(raw));
-        }
-        let properties: Vec<P> = r.seq(num_v)?;
-        if properties.len() != num_v {
-            return Err(SnapError::new(format!(
-                "property array length {} does not match vertex count {num_v}",
-                properties.len()
-            )));
-        }
-        st.properties = properties;
-        let t_props: Vec<P> = r.seq(num_v)?;
-        if t_props.len() != num_v {
-            return Err(SnapError::new(format!(
-                "tProperty array length {} does not match vertex count {num_v}",
-                t_props.len()
-            )));
-        }
-        st.t_props = t_props;
-        st.pipeline.load(&mut r)?;
-        r.expect_exhausted()
+        self.0
+            .resume_controlled(program, control, checkpoint)
+            .map(serial_outcome)
     }
 
     /// Executes `program` with the Sec. 5.3 large-graph schedule: the graph
@@ -741,215 +488,32 @@ impl<'g> Engine<'g> {
     /// # Panics
     ///
     /// Panics if `num_slices` is zero.
-    pub fn run_sliced<Prog: VertexProgram>(
+    pub fn run_sliced<Prog: VertexProgram + Sync>(
         &mut self,
         program: &Prog,
         num_slices: usize,
         memory_bytes_per_cycle: u64,
     ) -> Result<SlicedRunResult<Prog::Prop>, StallDiagnostic> {
-        // lint:allow(panic-freedom): documented panic on the cold slicing entry point; zero slices has no semantics
-        assert!(num_slices > 0, "need at least one slice");
-        let config = self.factory.config();
-        let m = config.back_channels;
-        let graph = self.graph;
-        let num_v = graph.num_vertices();
-        let slices: Vec<Slice> = partition(graph, num_slices);
-        let swap_per_slice: Vec<u64> = slices
-            .iter()
-            .map(|s| slice_swap_cycles(s, memory_bytes_per_cycle))
-            .collect();
-
-        let mut properties: Vec<Prog::Prop> = graph
-            .vertices()
-            .map(|v| program.init_prop(v, graph))
-            .collect();
-        let mut t_props: Vec<Prog::Prop> = vec![program.identity(); num_v as usize];
-        let mut pipeline = ScatterPipeline::new(&self.factory);
-        let mut scheduler = self.scheduler();
-        let mut metrics = Metrics {
-            frequency_ghz: config.effective_frequency_ghz(),
-            vpe_starvation_per_channel: vec![0; m],
-            ..Metrics::default()
-        };
-        let mut swap_sequential = 0u64;
-        let mut swap_overlapped = 0u64;
-        let faults = self.fault_runtime(pipeline.mem.dram_channels());
-
-        let mut frontier: Vec<VertexId> = program.initial_frontier(graph);
-        while !frontier.is_empty() {
-            if let Some(cap) = program.max_iterations() {
-                if metrics.iterations >= cap {
-                    break;
-                }
-            }
-            // Scatter each slice over the shared frontier & tProps. The
-            // first slice's load is always exposed; later loads overlap
-            // the previous slice's compute under double buffering.
-            let mut prev_compute = 0u64;
-            for (i, slice) in slices.iter().enumerate() {
-                let before = metrics.scatter_cycles;
-                self.simulate_scatter(
-                    program,
-                    &slice.graph,
-                    &frontier,
-                    &properties,
-                    &mut t_props,
-                    &mut pipeline,
-                    &mut scheduler,
-                    &mut metrics,
-                    faults.as_ref(),
-                )?;
-                let compute = metrics.scatter_cycles - before;
-                swap_sequential += swap_per_slice[i];
-                swap_overlapped += if i == 0 {
-                    swap_per_slice[i]
-                } else {
-                    swap_per_slice[i].saturating_sub(prev_compute)
-                };
-                prev_compute = compute;
-            }
-            apply_phase(program, graph, &mut properties, &mut t_props, &mut frontier);
-            metrics.apply_cycles += apply_cycles(num_v, m);
-            metrics.iterations += 1;
-        }
-
-        finalize_metrics(&mut metrics, &pipeline);
-        Ok(SlicedRunResult {
-            properties,
-            metrics,
-            num_slices,
-            swap_cycles_sequential: swap_sequential,
-            swap_cycles_overlapped: swap_overlapped,
-        })
-    }
-
-    /// Simulates one scatter phase of `frontier` over `graph` (which may
-    /// be a slice of the full graph), folding updates into `t_props`: one
-    /// scheduler drain of the scatter pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StallDiagnostic`] if the drain exceeds its guard.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_scatter<Prog: VertexProgram>(
-        &self,
-        program: &Prog,
-        graph: &Csr,
-        frontier: &[VertexId],
-        properties: &[Prog::Prop],
-        t_props: &mut [Prog::Prop],
-        pipeline: &mut ScatterPipeline<Prog::Prop>,
-        scheduler: &mut Scheduler,
-        metrics: &mut Metrics,
-        faults: Option<&FaultRuntime>,
-    ) -> Result<(), StallDiagnostic> {
-        let completed = self.scatter_phase(
-            program, graph, frontier, properties, t_props, pipeline, scheduler, metrics, None,
-            faults,
-        )?;
-        debug_assert!(completed, "uncontrolled drain cannot be interrupted");
-        Ok(())
-    }
-
-    /// The scatter drain underneath both the plain and the controlled
-    /// run paths. With `control`, the drain polls for cancellation and
-    /// returns `Ok(false)` when interrupted (the pipeline is then
-    /// mid-flight and must be discarded). With `faults`, each drained
-    /// cycle applies the fault windows active at that point of the
-    /// global scatter-cycle timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StallDiagnostic`] if the drain exceeds its guard.
-    #[allow(clippy::too_many_arguments)]
-    fn scatter_phase<Prog: VertexProgram>(
-        &self,
-        program: &Prog,
-        graph: &Csr,
-        frontier: &[VertexId],
-        properties: &[Prog::Prop],
-        t_props: &mut [Prog::Prop],
-        pipeline: &mut ScatterPipeline<Prog::Prop>,
-        scheduler: &mut Scheduler,
-        metrics: &mut Metrics,
-        control: Option<&RunControl>,
-        faults: Option<&FaultRuntime>,
-    ) -> Result<bool, StallDiagnostic> {
-        debug_assert!(
-            pipeline.is_drained(),
-            "scatter must start from a drained pipeline"
-        );
-        pipeline.front.load_frontier(frontier, properties);
-
-        let iteration_edges: u64 = frontier.iter().map(|&v| graph.out_degree(v)).sum();
-        let guard = self.stall_guard.unwrap_or_else(|| {
-            derived_stall_guard(
-                self.factory.config(),
-                iteration_edges,
-                frontier.len() as u64,
-                1,
-                0,
-            )
-        }) + faults.map_or(0, FaultRuntime::guard_bonus);
-        scheduler.set_stall_guard(guard);
-        let phase = Phase {
-            program,
-            control,
-            faults,
-            base: metrics.scatter_cycles,
-        };
-        let drained = pipeline.drain(scheduler, &phase, 0, graph, (t_props, 0), metrics);
-        let spent = match drained {
-            Ok(spent) => spent,
-            Err(DrainError::Interrupted { .. }) => return Ok(false),
-            Err(DrainError::Stall(stall)) => {
-                return Err(StallDiagnostic {
-                    config: self.factory.config().name.clone(),
-                    num_chips: 1,
-                    iteration: metrics.iterations,
-                    iteration_edges,
-                    staged_packets: 0,
-                    stall,
-                })
-            }
-        };
-        metrics.scatter_cycles += spent;
-        Ok(true)
+        self.0
+            .run_sliced(program, num_slices, memory_bytes_per_cycle)
     }
 }
 
-/// The workload-derived stall guard of one scatter phase: compute slack
-/// per edge, plus the link term for sharded runs, plus the worst-case
-/// off-chip latency when memory is modeled.
-pub(crate) fn derived_stall_guard(
-    config: &AcceleratorConfig,
-    iteration_edges: u64,
-    frontier_len: u64,
-    num_chips: u64,
-    staged_packets: u64,
-) -> u64 {
-    let mem_bonus = config
-        .memory
-        .as_ref()
-        .map(|m| m.stall_guard_bonus(iteration_edges, frontier_len))
-        .unwrap_or(0);
-    10_000 + iteration_edges * 64 * num_chips + staged_packets * 8 + mem_bonus
+/// A one-chip run's result, as the serial engine reports it.
+fn serial_result<P>(r: ShardedRunResult<P>) -> RunResult<P> {
+    RunResult {
+        properties: r.properties,
+        metrics: r.metrics,
+    }
 }
 
-/// Harvests the fabric statistics through the unified
-/// [`ClockedComponent::network_stats`] collection point.
-pub(crate) fn finalize_metrics<P: Copy + 'static>(
-    metrics: &mut Metrics,
-    pipeline: &ScatterPipeline<P>,
-) {
-    metrics.cycles = metrics.scatter_cycles + metrics.apply_cycles;
-    metrics.offset_net = pipeline.front.offset_stats();
-    metrics.edge_net = pipeline.back.edge_stats();
-    metrics.dataflow_net = pipeline.back.dataflow_stats();
-    let cache = pipeline.mem.cache_stats();
-    metrics.memory.cache_hits = cache.hits;
-    metrics.memory.cache_misses = cache.misses;
-    metrics.memory.dram = pipeline.mem.dram_stats();
+/// A one-chip controlled run's outcome, as the serial engine reports it.
+fn serial_outcome<P>(outcome: ShardedOutcome<P>) -> RunOutcome<P> {
+    match outcome {
+        ShardedOutcome::Done(r) => RunOutcome::Done(serial_result(r)),
+        ShardedOutcome::Parked(checkpoint) => RunOutcome::Parked(checkpoint),
+        ShardedOutcome::Cancelled => RunOutcome::Cancelled,
+    }
 }
 
 #[cfg(test)]

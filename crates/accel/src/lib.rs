@@ -13,10 +13,11 @@
 //!   dataflow propagation network → vPEs (`Reduce`) → tProperty banks;
 //! * **apply phase** (the `apply` module): an `⌈V/m⌉`-cycle scan applying
 //!   `Apply( )` and building the next frontier;
-//! * **multi-chip scale-out** (the `sharded` module): P whole pipelines
-//!   over a destination-interval partition, coupled by a modeled
-//!   inter-chip link, each chip and the link draining on its own per
-//!   iteration.
+//! * **the run driver and multi-chip scale-out** (the `sharded`
+//!   module): P whole pipelines over a destination-interval partition,
+//!   coupled by a modeled inter-chip link, each chip and the link
+//!   draining on its own per iteration. The serial and sliced engine
+//!   is its one-chip case.
 //!
 //! Both pipeline halves implement `higraph_sim::ClockedComponent` and the
 //! engine drives them through the shared `higraph_sim::Scheduler` — the

@@ -1,12 +1,10 @@
 //! Packet types flowing through the accelerator's fabrics.
 //!
-//! The hot path moves the *ref* types ([`VertexRef`], [`ImmRef`],
+//! The hot path moves *ref* types ([`VertexRef`], [`ImmRef`],
 //! [`EdgeRef`]): 8-byte handles into the per-chip SoA arenas of
 //! [`crate::arena`], carrying only what the fabrics inspect in flight
-//! (the destination). The materialized structs ([`VertexPacket`],
-//! [`ImmPacket`], [`PendingEdge`]) document the modeled payload each
-//! handle stands for and serve as the struct-copy baseline in the
-//! host-performance microbenchmarks.
+//! (the destination). Each handle's doc names the modeled payload the
+//! arena holds for it.
 
 use higraph_sim::Packet;
 
@@ -50,56 +48,6 @@ impl Packet for ImmRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeRef(pub u32);
 
-/// A source vertex travelling from the ActiveVertex Array to its Offset
-/// Array channel (front-end routing; Fig. 6 "MDP-network for Offset Array
-/// Access"). Destination: channel `u % n`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VertexPacket<P> {
-    /// Source vertex ID.
-    pub u: u32,
-    /// The vertex's current property (rides along so the back-end never
-    /// re-reads the Property Array mid-scatter).
-    pub prop: P,
-    /// `u % n`.
-    pub dest: usize,
-}
-
-impl<P> Packet for VertexPacket<P> {
-    fn dest(&self) -> usize {
-        self.dest
-    }
-}
-
-/// An update travelling from an ePE to the vPE owning its destination
-/// vertex (Fig. 6 dataflow propagation). Destination: channel `v % m`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImmPacket<P> {
-    /// Destination vertex ID.
-    pub v: u32,
-    /// `Imm = Process_Edge(u.prop, e.weight)`.
-    pub imm: P,
-    /// `v % m`.
-    pub dest: usize,
-}
-
-impl<P> Packet for ImmPacket<P> {
-    fn dest(&self) -> usize {
-        self.dest
-    }
-}
-
-/// An edge waiting at an ePE: read from the Edge Array, paired with the
-/// source property it must be combined with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingEdge<P> {
-    /// Destination vertex of the edge.
-    pub dst: u32,
-    /// Edge weight.
-    pub weight: u32,
-    /// Property of the source vertex.
-    pub u_prop: P,
-}
-
 impl higraph_sim::SnapValue for VertexRef {
     fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
         w.u32(self.handle);
@@ -132,26 +80,5 @@ impl higraph_sim::SnapValue for EdgeRef {
     }
     fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
         Ok(EdgeRef(r.u32()?))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn packets_report_dest() {
-        let v = VertexPacket {
-            u: 10,
-            prop: 5u64,
-            dest: 2,
-        };
-        assert_eq!(v.dest(), 2);
-        let i = ImmPacket {
-            v: 9,
-            imm: 1u64,
-            dest: 7,
-        };
-        assert_eq!(i.dest(), 7);
     }
 }

@@ -12,14 +12,16 @@
 //! Parallelism changes *only* wall-clock time: each simulation is
 //! deterministic and seeded by its own inputs, so results are
 //! bit-identical to running the same jobs serially through
-//! [`Engine::run`] — `tests/batch_runner.rs` asserts this. Sharded jobs
+//! [`Engine::run`] — `tests/batch_runner.rs` asserts this.
+//!
+//! A job runs in one of the three [`RunMode`]s — whole graph, sliced
+//! ([`Engine::run_sliced`], Sec. 5.3) or sharded — and all three go
+//! through the one run driver of [`ShardedEngine`]. Sharded jobs
 //! compose with the batch: their chip drains lease whatever pool
 //! workers the batch leaves idle (`docs/performance.md`), falling back
 //! to the calling thread — bit-identically — when the host is
-//! saturated.
-//!
-//! Sliced large-graph schedules ([`Engine::run_sliced`], Sec. 5.3) ride
-//! the same path through [`RunMode::Sliced`].
+//! saturated. A job that cannot run (an invalid configuration, zero
+//! slices) or that stalls fails its own entry, never the batch.
 //!
 //! # Example
 //!
@@ -58,8 +60,8 @@ use std::time::Instant;
 /// aborting the whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchError {
-    /// The accelerator or shard configuration failed validation; the
-    /// entry never simulated.
+    /// The accelerator, shard or slice configuration failed validation;
+    /// the entry never simulated.
     Config(String),
     /// The simulation stalled (deadlock/livelock under backpressure).
     Stall(StallDiagnostic),
@@ -106,7 +108,8 @@ pub enum RunMode {
     Whole,
     /// The Sec. 5.3 large-graph schedule ([`Engine::run_sliced`]).
     Sliced {
-        /// Destination-interval slice count (must be positive).
+        /// Destination-interval slice count (zero fails the job with
+        /// [`BatchError::Config`]).
         num_slices: usize,
         /// Off-chip bandwidth for slice replacement, bytes per cycle.
         memory_bytes_per_cycle: u64,
@@ -307,22 +310,16 @@ impl BatchRunner {
     /// Executes a typed batch and returns per-job results (in job order)
     /// plus the aggregate report.
     ///
-    /// A job with an invalid configuration fails its own entry with
-    /// [`BatchError::Config`] — sweeps over generated design points
-    /// (buffer sizes down to zero, arbitrary channel geometries) lose
-    /// one cell, not the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sliced job has zero slices — the slice count is
-    /// harness-controlled, not part of the swept design space.
+    /// A job with an invalid configuration — or a sliced job with zero
+    /// slices — fails its own entry with [`BatchError::Config`]: sweeps
+    /// over generated design points (buffer sizes down to zero,
+    /// arbitrary channel geometries) lose one cell, not the whole batch.
     pub fn run<Prog>(
         &self,
         jobs: Vec<BatchJob<'_, Prog>>,
     ) -> (Vec<BatchResult<Prog::Prop>>, BatchReport)
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: Send,
     {
         // lint:allow(determinism): wall-clock only feeds host-side BatchReport throughput; simulated state never reads it
         let started = Instant::now();
@@ -385,7 +382,6 @@ impl BatchRunner {
 fn run_one<Prog>(job: &BatchJob<'_, Prog>) -> BatchResult<Prog::Prop>
 where
     Prog: VertexProgram + Sync,
-    Prog::Prop: Send,
 {
     let outcome = (|| match job.mode {
         RunMode::Whole => {
@@ -402,6 +398,9 @@ where
                 error: None,
             })
         }
+        RunMode::Sliced { num_slices: 0, .. } => Err(BatchError::Config(
+            "a sliced job needs at least one slice".to_string(),
+        )),
         RunMode::Sliced {
             num_slices,
             memory_bytes_per_cycle,

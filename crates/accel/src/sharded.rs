@@ -1,13 +1,23 @@
-//! Sharded multi-chip execution: P engine pipelines over a
-//! destination-interval partition, coupled by a modeled inter-chip link.
+//! The run driver: chip pipelines over destination intervals, coupled
+//! by a modeled inter-chip link. Every execution mode runs here.
 //!
 //! The paper's scalability story (Fig. 11) widens one chip; this module
-//! scales *out* instead. [`ShardedEngine`] instantiates one scatter
-//! pipeline per chip over the `higraph_graph::slicing::partition` shards
-//! and drains each of them — plus a `higraph_sim::InterChipLink` carrying
-//! cross-shard edge updates — under its own `Scheduler` each iteration,
-//! on one shared cycle timeline: the iteration ends only when the last
-//! chip and the link have drained.
+//! also scales *out*. [`ShardedEngine`] scatters each iteration's
+//! frontier over the run's destination intervals, `num_chips` at a time.
+//! Each group is one scatter phase: every chip drains its interval —
+//! and a `higraph_sim::InterChipLink` carries the cross-chip edge
+//! updates — under its own `Scheduler`, on one shared cycle timeline.
+//! A phase ends when the last chip and the link have drained; the apply
+//! phase follows the iteration's last scatter phase.
+//!
+//! * **Sharded**: P chips over the P intervals of
+//!   `higraph_graph::slicing::partition`, drained as one phase.
+//! * **Serial** ([`Engine::run`](crate::engine::Engine::run)): the
+//!   one-chip case. Its one interval is the borrowed input graph itself,
+//!   not a copy of its edges.
+//! * **Sliced** ([`Engine::run_sliced`](crate::engine::Engine::run_sliced),
+//!   Sec. 5.3): one chip drains k slice intervals as k phases, and slice
+//!   replacement is costed from each phase's cycles.
 //!
 //! # Execution model
 //!
@@ -16,9 +26,8 @@
 //! *global* frontier over its slice graph into its own tProperty
 //! interval, and applies its owned vertices. Because every edge lives on
 //! exactly one chip and reduction is per-destination, the final Property
-//! Array is bit-identical to the serial [`Engine::run`](crate::engine::Engine::run) — with one chip
-//! the whole run (metrics included) is bit-identical, which
-//! `tests/sharded_equivalence.rs` asserts.
+//! Array is bit-identical to the serial engine's, and the serial engine
+//! *is* the one-chip case (`tests/sharded_equivalence.rs`).
 //!
 //! # Traffic model
 //!
@@ -35,14 +44,13 @@
 use crate::apply::{apply_cycles, apply_phase};
 use crate::config::AcceleratorConfig;
 use crate::engine::{
-    derived_stall_guard, finalize_metrics, Checkpoint, ControlError, Phase, ScatterPipeline,
-    StallDiagnostic,
+    Checkpoint, ControlError, Phase, ScatterPipeline, SlicedRunResult, StallDiagnostic,
 };
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
 use crate::parallel::{drain_all, exchange_link};
-use higraph_graph::slicing::{partition, total_cut_edges, Slice};
+use higraph_graph::slicing::{partition, slice_swap_cycles, total_cut_edges, Slice};
 use higraph_graph::{Csr, VertexId};
 use higraph_pool::CorePool;
 use higraph_sim::{
@@ -51,11 +59,12 @@ use higraph_sim::{
     Snapshot,
 };
 use higraph_vcpm::VertexProgram;
+use std::borrow::Cow;
 
 /// Geometry and timing of the inter-chip fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardConfig {
-    /// Number of chips (= shards). 1 reproduces the serial engine.
+    /// Number of chips (= shards). 1 is the serial engine.
     pub num_chips: usize,
     /// Link flight latency in cycles, on top of the one-cycle stage
     /// minimum every clocked component obeys.
@@ -307,15 +316,53 @@ impl ClockedComponent for StagedLink {
     }
 }
 
+/// One destination interval of a run: the edges into
+/// `[dst_start, dst_end)`, which one chip scatters in one phase.
+#[derive(Debug)]
+struct Interval<'g> {
+    /// The input graph itself when the run has one interval, else the
+    /// interval's slice of it.
+    graph: Cow<'g, Csr>,
+    dst_start: u32,
+    dst_end: u32,
+    /// Cycles to load the slice on chip (sliced runs; 0 otherwise).
+    swap_cycles: u64,
+}
+
+impl<'g> Interval<'g> {
+    fn whole(graph: &'g Csr) -> Self {
+        Interval {
+            graph: Cow::Borrowed(graph),
+            dst_start: 0,
+            dst_end: graph.num_vertices(),
+            swap_cycles: 0,
+        }
+    }
+
+    fn from_slice(slice: Slice, swap_cycles: u64) -> Self {
+        Interval {
+            graph: Cow::Owned(slice.graph),
+            dst_start: slice.dst_start,
+            dst_end: slice.dst_end,
+            swap_cycles,
+        }
+    }
+
+    fn owns(&self, v: VertexId) -> bool {
+        (self.dst_start..self.dst_end).contains(&v.0)
+    }
+}
+
 /// A multi-chip accelerator instance bound to a partitioned graph.
 #[derive(Debug)]
 pub struct ShardedEngine<'g> {
     factory: NetworkFactory,
     shard: ShardConfig,
     graph: &'g Csr,
-    slices: Vec<Slice>,
-    /// Owning chip per vertex (destination-interval lookup).
-    owner: Vec<usize>,
+    /// The destination intervals, one per chip.
+    intervals: Vec<Interval<'g>>,
+    /// The partition's total cut-edge count.
+    cut_edges: u64,
     /// Overrides the workload-derived stall guard when set.
     stall_guard: Option<u64>,
     /// Event-driven fast-forward of idle cycles in every chip and link
@@ -354,19 +401,23 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<Self, String> {
         shard.validate()?;
         let factory = NetworkFactory::new(&config)?;
-        let slices = partition(graph, shard.num_chips);
-        let mut owner = vec![0usize; graph.num_vertices() as usize];
-        for s in &slices {
-            for v in s.dst_start..s.dst_end {
-                owner[v as usize] = s.index;
-            }
-        }
+        let (intervals, cut_edges) = if shard.num_chips == 1 {
+            (vec![Interval::whole(graph)], 0)
+        } else {
+            let slices = partition(graph, shard.num_chips);
+            let cut_edges = total_cut_edges(&slices);
+            let intervals = slices
+                .into_iter()
+                .map(|slice| Interval::from_slice(slice, 0))
+                .collect();
+            (intervals, cut_edges)
+        };
         Ok(ShardedEngine {
             factory,
             shard,
             graph,
-            slices,
-            owner,
+            intervals,
+            cut_edges,
             stall_guard: None,
             fast_forward: true,
             threads: None,
@@ -422,15 +473,10 @@ impl<'g> ShardedEngine<'g> {
         &self.shard
     }
 
-    /// The destination-interval shards, one per chip.
-    pub fn slices(&self) -> &[Slice] {
-        &self.slices
-    }
-
     /// The partitioner's total cut-edge count — the per-full-frontier
     /// cross-chip packet count.
     pub fn cut_edges(&self) -> u64 {
-        total_cut_edges(&self.slices)
+        self.cut_edges
     }
 
     /// Executes `program` across all chips to completion.
@@ -451,15 +497,61 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<ShardedRunResult<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: Send,
+    {
+        self.run_state(program, &self.intervals).map(finish_result)
+    }
+
+    /// [`ShardedEngine::run`]'s loop over any interval schedule: runs
+    /// `program` to completion and returns the final state.
+    fn run_state<Prog>(
+        &self,
+        program: &Prog,
+        intervals: &[Interval<'_>],
+    ) -> Result<ShardedRunState<Prog::Prop>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
     {
         let mut st = self.fresh_state(program);
         let faults = self.fault_runtime(&st.multi);
         while !st.frontier.is_empty() && !capped(program, &st.agg) {
-            let completed = self.iterate(program, &mut st, None, faults.as_ref())?;
+            let completed = self.iterate(program, intervals, &mut st, None, faults.as_ref())?;
             debug_assert!(completed, "uncontrolled drain cannot be interrupted");
         }
-        Ok(finish_result(st))
+        Ok(st)
+    }
+
+    /// The Sec. 5.3 schedule behind [`crate::Engine::run_sliced`]: this
+    /// one-chip engine drains the `num_slices` slices of the graph as
+    /// phases of each iteration, each slice's load costed at
+    /// `memory_bytes_per_cycle`.
+    pub(crate) fn run_sliced<Prog>(
+        &self,
+        program: &Prog,
+        num_slices: usize,
+        memory_bytes_per_cycle: u64,
+    ) -> Result<SlicedRunResult<Prog::Prop>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+    {
+        debug_assert_eq!(self.shard.num_chips, 1, "slices share one chip");
+        let intervals: Vec<Interval<'_>> = partition(self.graph, num_slices)
+            .into_iter()
+            .map(|slice| {
+                let swap = slice_swap_cycles(&slice, memory_bytes_per_cycle);
+                Interval::from_slice(slice, swap)
+            })
+            .collect();
+        let st = self.run_state(program, &intervals)?;
+        let (swap_cycles_sequential, swap_cycles_overlapped) =
+            (st.swap_sequential, st.swap_overlapped);
+        let r = finish_result(st);
+        Ok(SlicedRunResult {
+            properties: r.properties,
+            metrics: r.metrics,
+            num_slices,
+            swap_cycles_sequential,
+            swap_cycles_overlapped,
+        })
     }
 
     /// Expands the configuration's fault plan against this engine's
@@ -474,20 +566,22 @@ impl<'g> ShardedEngine<'g> {
         })
     }
 
-    /// One VCPM iteration: stage the cross-shard traffic, drain the
-    /// scatter phase, then apply. Returns `Ok(false)` when `control`
-    /// interrupted the drain (the state is then mid-flight and must be
-    /// discarded).
+    /// One VCPM iteration — the only iteration body: scatter the
+    /// frontier over `intervals`, `num_chips` of them per phase, then
+    /// apply. Returns `Ok(false)` when `control` interrupted a drain
+    /// (the state is then mid-flight and must be discarded).
     ///
-    /// The scatter phase is P + 1 drains, each under its own
-    /// [`Scheduler`] with its own fast-forward: every chip, and the link
-    /// with its staged counts. The phase lasts as long as the longest of
-    /// them, and each component that finished early is padded with
-    /// `skip(phase − own)`. That is bit-identical to clocking them all
-    /// together, cycle by cycle, because chips never gain work
-    /// mid-drain, the link depends on the staged counts alone, and a
-    /// drained component is quiescent, so its padding equals the idle
-    /// ticks it would otherwise get (`docs/sharding.md`).
+    /// A phase stages its cross-chip traffic, then runs P + 1 drains,
+    /// each under its own [`Scheduler`] with its own fast-forward: every
+    /// chip over its interval, and the link with its staged counts. The
+    /// phase lasts as long as the longest of them, and each component
+    /// that finished early is padded with `skip(phase − own)`. That is
+    /// bit-identical to clocking them all together, cycle by cycle,
+    /// because chips never gain work mid-drain, the link depends on the
+    /// staged counts alone, and a drained component is quiescent, so its
+    /// padding equals the idle ticks it would otherwise get
+    /// (`docs/sharding.md`). A chip's fault windows are those of its
+    /// position in the phase.
     ///
     /// # Errors
     ///
@@ -495,73 +589,35 @@ impl<'g> ShardedEngine<'g> {
     fn iterate<Prog>(
         &self,
         program: &Prog,
+        intervals: &[Interval<'_>],
         st: &mut ShardedRunState<Prog::Prop>,
         control: Option<&RunControl>,
         faults: Option<&FaultRuntime>,
     ) -> Result<bool, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: Send,
     {
         let config = self.factory.config();
         let num_chips = self.shard.num_chips;
-        let graph = self.graph;
         debug_assert!(
             st.multi.is_drained(),
             "a scatter phase must start from drained chips and link"
         );
-
-        // Stage this iteration's cross-shard traffic: one packet per
-        // edge a chip will process from a remotely-owned source, counted
-        // per (source chip, destination chip) pair.
-        let staged_rows = &mut st.multi.link.staged;
-        for &u in &st.frontier {
-            let src_chip = self.owner[u.index()];
-            for slice in &self.slices {
-                if slice.index != src_chip {
-                    staged_rows[src_chip][slice.index] += slice.graph.out_degree(u);
-                }
-            }
-        }
-        let staged = st.multi.link.staged_total();
-        st.cross_chip_packets += staged;
-
-        // Load the global frontier into every chip's front-end.
-        for chip in &mut st.multi.chips {
-            chip.front.load_frontier(&st.frontier, &st.properties);
-        }
-
-        let iteration_edges: u64 = st.frontier.iter().map(|&v| graph.out_degree(v)).sum();
-        let guard = self.stall_guard.unwrap_or_else(|| {
-            derived_stall_guard(
-                config,
-                iteration_edges,
-                st.frontier.len() as u64,
-                num_chips as u64,
-                staged,
-            ) + self.shard.link_latency
-        }) + faults.map_or(0, FaultRuntime::guard_bonus);
+        debug_assert_eq!(
+            intervals.len() % num_chips,
+            0,
+            "every phase drains every chip"
+        );
         // Fault windows land on exact global cycles, so fault runs tick
         // every cycle.
         let fast_forward = self.fast_forward && faults.is_none();
-        let scheduler = || {
-            Scheduler::new()
-                .with_fast_forward(fast_forward)
-                .with_stall_guard(guard)
-        };
-        let phase = Phase {
-            program,
-            control,
-            faults,
-            base: st.agg.scatter_cycles,
-        };
 
-        // Host cores are acquired per phase: an explicit override leases
-        // its exact team (temporary threads cover any shortfall), the
-        // default leases whatever the shared pool has idle *right now* —
-        // so this run and concurrently running batch jobs split the host
-        // instead of oversubscribing it. Without a lease the calling
-        // thread runs every drain back to back.
+        // Host cores are acquired per iteration: an explicit override
+        // leases its exact team (temporary threads cover any shortfall),
+        // the default leases whatever the shared pool has idle *right
+        // now* — so this run and concurrently running batch jobs split
+        // the host instead of oversubscribing it. Without a lease the
+        // calling thread runs every drain back to back.
         let lease = match self.threads {
             Some(n) => {
                 let team = n.clamp(1, num_chips);
@@ -573,70 +629,140 @@ impl<'g> ShardedEngine<'g> {
             }
             None => None,
         };
-        let MultiChip { chips, link } = &mut st.multi;
-        let lanes: Vec<_> = chips
-            .iter_mut()
-            .zip(st.chip_metrics.iter_mut())
-            .zip(split_owned_intervals(&mut st.t_props, &self.slices))
-            .zip(&self.slices)
-            .collect();
-        let (link_spent, chip_spent) = drain_all(
-            lease.as_ref(),
-            lanes,
-            || link.drain(&mut scheduler(), &phase),
-            |(((chip, metrics), owned), slice)| {
-                chip.drain(
-                    &mut scheduler(),
-                    &phase,
-                    slice.index,
-                    &slice.graph,
-                    owned,
-                    metrics,
+
+        let mut windows = split_owned_intervals(&mut st.t_props, intervals).into_iter();
+        let mut prev_phase_cycles = 0u64;
+        for (phase_index, lanes) in intervals.chunks(num_chips).enumerate() {
+            // Stage the phase's cross-chip traffic: one packet per edge a
+            // chip will process from a source another chip owns, counted
+            // per (source chip, destination chip) pair.
+            let staged_rows = &mut st.multi.link.staged;
+            let mut phase_edges = 0u64;
+            for &u in &st.frontier {
+                let src_chip = lanes.iter().position(|lane| lane.owns(u));
+                for (dst_chip, lane) in lanes.iter().enumerate() {
+                    let degree = lane.graph.out_degree(u);
+                    phase_edges += degree;
+                    if let Some(src_chip) = src_chip.filter(|&src| src != dst_chip) {
+                        staged_rows[src_chip][dst_chip] += degree;
+                    }
+                }
+            }
+            let staged = st.multi.link.staged_total();
+            st.cross_chip_packets += staged;
+
+            // Load the global frontier into every chip's front-end.
+            for chip in &mut st.multi.chips {
+                chip.front.load_frontier(&st.frontier, &st.properties);
+            }
+
+            let guard = self.stall_guard.unwrap_or_else(|| {
+                derived_stall_guard(
+                    config,
+                    phase_edges,
+                    st.frontier.len() as u64,
+                    num_chips as u64,
+                    staged,
+                    self.shard.link_latency,
                 )
-            },
-        );
+            }) + faults.map_or(0, FaultRuntime::guard_bonus);
+            let scheduler = || {
+                Scheduler::new()
+                    .with_fast_forward(fast_forward)
+                    .with_stall_guard(guard)
+            };
+            let phase = Phase {
+                program,
+                control,
+                faults,
+                base: st.agg.scatter_cycles,
+            };
+            let MultiChip { chips, link } = &mut st.multi;
+            let chip_lanes: Vec<_> = chips
+                .iter_mut()
+                .zip(st.chip_metrics.iter_mut())
+                .zip(windows.by_ref())
+                .zip(lanes)
+                .enumerate()
+                .collect();
+            let (link_spent, chip_spent) = drain_all(
+                lease.as_ref(),
+                chip_lanes,
+                || link.drain(&mut scheduler(), &phase),
+                |(chip_id, (((chip, metrics), window), lane))| {
+                    chip.drain(
+                        &mut scheduler(),
+                        &phase,
+                        chip_id,
+                        &lane.graph,
+                        window,
+                        metrics,
+                    )
+                },
+            );
+
+            // Every drain of a stalled phase reports the same
+            // `StallError { cycles: guard, limit: guard }`, so the first
+            // error in component order stands for the phase.
+            let outcome: Result<Vec<u64>, DrainError> =
+                std::iter::once(link_spent).chain(chip_spent).collect();
+            let spent = match outcome {
+                Ok(spent) => spent,
+                Err(DrainError::Interrupted { .. }) => return Ok(false),
+                Err(DrainError::Stall(stall)) => {
+                    return Err(StallDiagnostic {
+                        config: config.name.clone(),
+                        num_chips,
+                        iteration: st.agg.iterations,
+                        iteration_edges: phase_edges,
+                        staged_packets: staged,
+                        stall,
+                    })
+                }
+            };
+            let phase_cycles = spent.iter().copied().max().unwrap_or(0);
+            link.skip(phase_cycles - spent[0]);
+            for ((chip, metrics), own) in
+                chips.iter_mut().zip(&mut st.chip_metrics).zip(&spent[1..])
+            {
+                chip.skip(phase_cycles - own);
+                metrics.scatter_cycles += own;
+            }
+            st.agg.scatter_cycles += phase_cycles;
+
+            // Slice replacement: the first load of an iteration is
+            // exposed; later loads overlap the previous phase's compute
+            // under double buffering.
+            let swap = lanes.iter().map(|lane| lane.swap_cycles).max().unwrap_or(0);
+            st.swap_sequential += swap;
+            st.swap_overlapped += if phase_index == 0 {
+                swap
+            } else {
+                swap.saturating_sub(prev_phase_cycles)
+            };
+            prev_phase_cycles = phase_cycles;
+        }
         drop(lease); // workers rejoin the stealing rotation
 
-        // Every drain of a stalled phase reports the same
-        // `StallError { cycles: guard, limit: guard }`, so the first
-        // error in component order stands for the phase.
-        let outcome: Result<Vec<u64>, DrainError> =
-            std::iter::once(link_spent).chain(chip_spent).collect();
-        let spent = match outcome {
-            Ok(spent) => spent,
-            Err(DrainError::Interrupted { .. }) => return Ok(false),
-            Err(DrainError::Stall(stall)) => {
-                return Err(StallDiagnostic {
-                    config: config.name.clone(),
-                    num_chips,
-                    iteration: st.agg.iterations,
-                    iteration_edges,
-                    staged_packets: staged,
-                    stall,
-                })
-            }
-        };
-        let phase_cycles = spent.iter().copied().max().unwrap_or(0);
-        link.skip(phase_cycles - spent[0]);
-        for ((chip, metrics), own) in chips.iter_mut().zip(&mut st.chip_metrics).zip(&spent[1..]) {
-            chip.skip(phase_cycles - own);
-            metrics.scatter_cycles += own;
-        }
-        st.agg.scatter_cycles += phase_cycles;
-
         // Apply: functionally global (bit-identity), cycle-wise each chip
-        // scans only its owned interval; the slowest chip gates the
-        // iteration.
+        // scans only the vertices of its intervals; the slowest chip
+        // gates the iteration.
         apply_phase(
             program,
-            graph,
+            self.graph,
             &mut st.properties,
             &mut st.t_props,
             &mut st.frontier,
         );
         let mut max_apply = 0u64;
-        for (metrics, slice) in st.chip_metrics.iter_mut().zip(&self.slices) {
-            let a = apply_cycles(slice.num_owned(), config.back_channels);
+        for (chip, metrics) in st.chip_metrics.iter_mut().enumerate() {
+            let owned: u32 = intervals
+                .iter()
+                .skip(chip)
+                .step_by(num_chips)
+                .map(|lane| lane.dst_end - lane.dst_start)
+                .sum();
+            let a = apply_cycles(owned, config.back_channels);
             metrics.apply_cycles += a;
             metrics.iterations += 1;
             max_apply = max_apply.max(a);
@@ -646,12 +772,11 @@ impl<'g> ShardedEngine<'g> {
         Ok(true)
     }
 
-    /// Executes `program` under cooperative run control, exactly as
-    /// [`crate::Engine::run_controlled`] does for the serial engine:
-    /// `control` can cancel mid-drain or park at the next committed
-    /// iteration boundary into a restorable [`Checkpoint`]. Controlled
-    /// runs drain exactly as [`ShardedEngine::run`] does, on the same
-    /// host threads, and a run that completes is bit-identical to it.
+    /// Executes `program` under cooperative run control: `control` can
+    /// cancel mid-drain or park at the next committed iteration boundary
+    /// into a restorable [`Checkpoint`]. Controlled runs drain exactly
+    /// as [`ShardedEngine::run`] does, on the same host threads, and a
+    /// run that completes is bit-identical to it.
     ///
     /// # Errors
     ///
@@ -664,17 +789,19 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: SnapValue + Send,
+        Prog::Prop: SnapValue,
     {
         let state = self.fresh_state(program);
         self.drive(program, control, state)
     }
 
-    /// Continues a parked sharded run from `checkpoint` under `control`.
-    /// The engine must be built over the same graph, accelerator
+    /// Continues a parked run from `checkpoint` under `control`. The
+    /// engine must be built over the same graph, accelerator
     /// configuration, and shard geometry that produced the checkpoint;
-    /// mismatches are rejected with a precise error. A pending park
-    /// request on `control` is cleared.
+    /// mismatches are rejected with a precise error before any state is
+    /// touched. A pending park request on `control` is cleared
+    /// (otherwise the resume would re-park at the first boundary);
+    /// callers raising a cycle budget set it before the call.
     ///
     /// # Errors
     ///
@@ -688,7 +815,7 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<ShardedOutcome<Prog::Prop>, ControlError>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: SnapValue + Send,
+        Prog::Prop: SnapValue,
     {
         let mut state = self.fresh_state(program);
         self.load_checkpoint(&mut state, checkpoint)?;
@@ -731,6 +858,8 @@ impl<'g> ShardedEngine<'g> {
             chip_metrics: (0..num_chips).map(|_| fresh_metrics()).collect(),
             agg: fresh_metrics(),
             cross_chip_packets: 0,
+            swap_sequential: 0,
+            swap_overlapped: 0,
         }
     }
 
@@ -744,7 +873,7 @@ impl<'g> ShardedEngine<'g> {
     ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
-        Prog::Prop: SnapValue + Send,
+        Prog::Prop: SnapValue,
     {
         let faults = self.fault_runtime(&st.multi);
         while !st.frontier.is_empty() && !capped(program, &st.agg) {
@@ -754,7 +883,13 @@ impl<'g> ShardedEngine<'g> {
             if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
                 return Ok(ShardedOutcome::Parked(self.save_checkpoint(&st)));
             }
-            if !self.iterate(program, &mut st, Some(control), faults.as_ref())? {
+            if !self.iterate(
+                program,
+                &self.intervals,
+                &mut st,
+                Some(control),
+                faults.as_ref(),
+            )? {
                 return Ok(ShardedOutcome::Cancelled);
             }
         }
@@ -880,6 +1015,10 @@ struct ShardedRunState<P> {
     chip_metrics: Vec<Metrics>,
     agg: Metrics,
     cross_chip_packets: u64,
+    /// Slice-replacement cycles of a sliced run, single- and
+    /// double-buffered. Not checkpointed: only whole-interval runs park.
+    swap_sequential: u64,
+    swap_overlapped: u64,
 }
 
 /// Whether `program`'s iteration cap stops the run before another
@@ -890,8 +1029,34 @@ fn capped<Prog: VertexProgram>(program: &Prog, agg: &Metrics) -> bool {
         .is_some_and(|cap| agg.iterations >= cap)
 }
 
-/// Final metric harvest and merge, shared by [`ShardedEngine::run`] and
-/// the controlled completion path so the two cannot diverge.
+/// The workload-derived stall guard of one scatter phase: compute slack
+/// per edge, plus — with two or more chips — the link term, plus the
+/// worst-case off-chip latency when memory is modeled.
+fn derived_stall_guard(
+    config: &AcceleratorConfig,
+    phase_edges: u64,
+    frontier_len: u64,
+    num_chips: u64,
+    staged_packets: u64,
+    link_latency: u64,
+) -> u64 {
+    let mem_bonus = config
+        .memory
+        .as_ref()
+        .map(|m| m.stall_guard_bonus(phase_edges, frontier_len))
+        .unwrap_or(0);
+    let link = if num_chips > 1 {
+        staged_packets * 8 + link_latency
+    } else {
+        0
+    };
+    10_000 + phase_edges * 64 * num_chips + link + mem_bonus
+}
+
+/// Final metric harvest and merge, shared by every run path so they
+/// cannot diverge: each chip's fabric statistics are collected through
+/// the unified [`ClockedComponent::network_stats`] point, then the
+/// aggregate sums the chips.
 fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<P> {
     let ShardedRunState {
         properties,
@@ -902,7 +1067,14 @@ fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<
         ..
     } = st;
     for (metrics, chip) in chip_metrics.iter_mut().zip(&multi.chips) {
-        finalize_metrics(metrics, chip);
+        metrics.cycles = metrics.scatter_cycles + metrics.apply_cycles;
+        metrics.offset_net = chip.front.offset_stats();
+        metrics.edge_net = chip.back.edge_stats();
+        metrics.dataflow_net = chip.back.dataflow_stats();
+        let cache = chip.mem.cache_stats();
+        metrics.memory.cache_hits = cache.hits;
+        metrics.memory.cache_misses = cache.misses;
+        metrics.memory.dram = chip.mem.dram_stats();
     }
     for chip in &chip_metrics {
         agg.edges_processed += chip.edges_processed;
@@ -937,27 +1109,30 @@ pub fn auto_worker_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Splits the global tProperty array into the per-chip owned intervals
-/// of `slices` (destination-interval partitions are contiguous, in
-/// order, and covering), returning each chip's window plus its base
-/// vertex id. Disjointness is what lets chips drain concurrently.
-fn split_owned_intervals<'t, P>(t_props: &'t mut [P], slices: &[Slice]) -> Vec<(&'t mut [P], u32)> {
-    let mut out = Vec::with_capacity(slices.len());
+/// Splits the global tProperty array into the owned windows of
+/// `intervals` (contiguous, in order, and covering), returning each
+/// window plus its base vertex id. Disjointness is what lets chips drain
+/// concurrently.
+fn split_owned_intervals<'t, P>(
+    t_props: &'t mut [P],
+    intervals: &[Interval<'_>],
+) -> Vec<(&'t mut [P], u32)> {
+    let mut out = Vec::with_capacity(intervals.len());
     let mut remaining = t_props;
     let mut consumed = 0u32;
-    for slice in slices {
+    for interval in intervals {
         debug_assert_eq!(
-            slice.dst_start, consumed,
-            "slices must be contiguous and in order"
+            interval.dst_start, consumed,
+            "intervals must be contiguous and in order"
         );
-        let (mine, rest) = remaining.split_at_mut((slice.dst_end - slice.dst_start) as usize);
-        out.push((mine, slice.dst_start));
+        let (mine, rest) = remaining.split_at_mut((interval.dst_end - interval.dst_start) as usize);
+        out.push((mine, interval.dst_start));
         remaining = rest;
-        consumed = slice.dst_end;
+        consumed = interval.dst_end;
     }
     debug_assert!(
         remaining.is_empty(),
-        "slices must cover the whole vertex range"
+        "intervals must cover the whole vertex range"
     );
     out
 }
@@ -1019,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_drain_covers_compute_and_link() {
+    fn phase_lasts_until_the_link_drains() {
         // With a huge link latency the drain must extend past the slowest
         // chip's compute: communication is simulated, not hand-waved.
         let g = power_law(200, 1800, 2.0, 31, 41);

@@ -1,15 +1,12 @@
 //! Host-performance microbenchmarks of the per-cycle hot-path
 //! primitives: `Fifo` push/pop (the ring buffer under every buffered
 //! datapath), a loaded crossbar tick, a loaded `MemoryChannel` tick,
-//! the `EventWheel` selection loop under sparse vs dense wake sets, and
-//! arena-handle vs struct-copy FIFO traffic. The `repro hostperf`
-//! target measures whole runs; these isolate the data-structure layer
-//! so a ring-buffer, wheel, or arena regression is visible on its own,
-//! without a simulation around it.
+//! and the `EventWheel` selection loop under sparse vs dense wake sets.
+//! The `repro hostperf` target measures whole runs; these isolate the
+//! data-structure layer so a ring-buffer or wheel regression is visible
+//! on its own, without a simulation around it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use higraph::accel::arena::PairArena;
-use higraph::accel::packets::{VertexPacket, VertexRef};
 use higraph::sim::{
     ClockedComponent, CrossbarNetwork, DramTiming, EventWheel, Fifo, MemoryChannel, Network, Packet,
 };
@@ -216,82 +213,11 @@ fn bench_event_wheel(c: &mut Criterion) {
     group.finish();
 }
 
-/// Arena-handle vs struct-copy FIFO traffic: the same push/pop loop
-/// moving 8-byte [`VertexRef`] handles (payloads parked in a
-/// [`PairArena`]) versus copying the materialized [`VertexPacket`]
-/// through the ring. This is the data-layout trade the scatter
-/// pipeline's staging queues make.
-fn bench_packet_fifo(c: &mut Criterion) {
-    const OPS: u64 = 200_000;
-    let mut group = c.benchmark_group("packet_fifo");
-    group.throughput(Throughput::Elements(OPS));
-    group.bench_function("struct_copy_cap160", |b| {
-        b.iter(|| {
-            let mut fifo: Fifo<VertexPacket<u64>> = Fifo::new(160);
-            for i in 0..80u32 {
-                fifo.push(VertexPacket {
-                    u: i,
-                    prop: u64::from(i),
-                    dest: (i % 32) as usize,
-                })
-                .unwrap();
-            }
-            let mut sum = 0u64;
-            for i in 0..OPS {
-                let pkt = VertexPacket {
-                    u: i as u32,
-                    prop: i,
-                    dest: (i % 32) as usize,
-                };
-                if fifo.push(pkt).is_ok() {
-                    let out = fifo.pop().unwrap();
-                    sum = sum.wrapping_add(out.prop).wrapping_add(u64::from(out.u));
-                }
-            }
-            black_box(sum)
-        })
-    });
-    group.bench_function("arena_handle_cap160", |b| {
-        b.iter(|| {
-            let mut fifo: Fifo<VertexRef> = Fifo::new(160);
-            let mut arena: PairArena<u64> = PairArena::with_capacity(160);
-            for i in 0..80u32 {
-                let handle = arena.alloc(i, u64::from(i));
-                fifo.push(VertexRef {
-                    handle,
-                    dest: i % 32,
-                })
-                .unwrap();
-            }
-            let mut sum = 0u64;
-            for i in 0..OPS {
-                let handle = arena.alloc(i as u32, i);
-                let pkt = VertexRef {
-                    handle,
-                    dest: (i % 32) as u32,
-                };
-                if fifo.push(pkt).is_ok() {
-                    let out = fifo.pop().unwrap();
-                    sum = sum
-                        .wrapping_add(arena.payload(out.handle))
-                        .wrapping_add(u64::from(arena.key(out.handle)));
-                    arena.free(out.handle);
-                } else {
-                    arena.free(handle);
-                }
-            }
-            black_box(sum)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     hostperf_micro,
     bench_fifo,
     bench_crossbar_tick,
     bench_memory_channel_tick,
-    bench_event_wheel,
-    bench_packet_fifo
+    bench_event_wheel
 );
 criterion_main!(hostperf_micro);

@@ -208,7 +208,7 @@ impl Algo {
         ) -> Result<ControlledOutcome, ControlError>
         where
             Prog: VertexProgram + Sync,
-            Prog::Prop: higraph::sim::SnapValue + Send,
+            Prog::Prop: higraph::sim::SnapValue,
         {
             let outcome = match checkpoint {
                 Some(bytes) => engine.resume_controlled(prog, control, bytes)?,

@@ -480,7 +480,7 @@ impl Drop for CorePool {
 /// with `HIGRAPH_POOL_THREADS`. Worker count is a host-performance knob
 /// only — results are bit-identical for every value.
 pub fn default_workers() -> usize {
-    // lint:allow(determinism): host worker-count override, mirroring the rayon shim's RAYON_NUM_THREADS; results are worker-count-independent by the pool's contract
+    // lint:allow(determinism): host worker-count override; results are worker-count-independent by the pool's contract
     if let Ok(value) = std::env::var("HIGRAPH_POOL_THREADS") {
         if let Ok(n) = value.trim().parse::<usize>() {
             return n.min(256);

@@ -304,20 +304,14 @@ pub enum DrainStep {
 /// Drives [`ClockedComponent`]s through the pop → push → tick protocol and
 /// accounts the cycles they consume.
 ///
-/// One scheduler instance accumulates cycles across many drains (the
-/// engine reuses one per program execution, so `cycles()` is the total
-/// scatter cycle count across iterations and slices).
+/// One scheduler instance accumulates cycles across the drains it runs
+/// (`cycles()` is their total). The accelerator engines give every chip
+/// and link drain a fresh scheduler, configured for that scatter phase.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     cycles: u64,
-    skipped: u64,
     stall_guard: u64,
     fast_forward: bool,
-    /// Fast-forward window selections answered by an event wheel, across
-    /// this scheduler's drains (see [`ClockedComponent::wheel_indexed`]).
-    wheel_selections: u64,
-    /// Fast-forward window selections answered by the legacy poll.
-    poll_selections: u64,
 }
 
 impl Default for Scheduler {
@@ -331,11 +325,8 @@ impl Scheduler {
     pub fn new() -> Self {
         Scheduler {
             cycles: 0,
-            skipped: 0,
             stall_guard: DEFAULT_STALL_GUARD,
             fast_forward: false,
-            wheel_selections: 0,
-            poll_selections: 0,
         }
     }
 
@@ -376,20 +367,6 @@ impl Scheduler {
     /// Total cycles driven by this scheduler so far.
     pub fn cycles(&self) -> u64 {
         self.cycles
-    }
-
-    /// Of [`Scheduler::cycles`], how many were bulk-committed by
-    /// fast-forward instead of individually ticked.
-    pub fn skipped_cycles(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Fast-forward window selections this scheduler has performed, as
-    /// `(wheel_indexed, polled)` — attributed per drained component via
-    /// [`ClockedComponent::wheel_indexed`]. Also flushed to the
-    /// process-wide [`crate::selection`] tallies after every drain.
-    pub fn window_selections(&self) -> (u64, u64) {
-        (self.wheel_selections, self.poll_selections)
     }
 
     /// Runs `component` until it drains.
@@ -538,7 +515,6 @@ impl Scheduler {
                     );
                     spent += window;
                     self.cycles += window;
-                    self.skipped += window;
                     continue;
                 }
             }
@@ -547,12 +523,12 @@ impl Scheduler {
             spent += 1;
             self.cycles += 1;
         };
+        // Window selections go to the process-wide tallies, attributed
+        // per drained component via `ClockedComponent::wheel_indexed`.
         if selections > 0 {
             if indexed {
-                self.wheel_selections += selections;
                 crate::selection::record(selections, 0);
             } else {
-                self.poll_selections += selections;
                 crate::selection::record(0, selections);
             }
         }

@@ -114,6 +114,34 @@ fn batched_sliced_runs_match_serial_run_sliced() {
 }
 
 #[test]
+fn zero_slice_job_fails_alone() {
+    // A zero slice count is a bad job, not a broken batch: it fails its
+    // own entry with a configuration error while its neighbours run.
+    let graph = Dataset::Vote.build_scaled(16);
+    let job = |label: &str| {
+        BatchJob::new(
+            label,
+            &graph,
+            PageRank::new(2),
+            AcceleratorConfig::higraph(),
+        )
+    };
+    let jobs = vec![
+        job("whole"),
+        job("zero").sliced(0, 64),
+        job("two").sliced(2, 64),
+    ];
+    let results = run_on_pool(jobs);
+    assert!(results[0].is_ok() && results[2].is_ok());
+    assert!(results[1].properties.is_empty());
+    match &results[1].error {
+        Some(BatchError::Config(message)) => assert!(message.contains("slice"), "{message}"),
+        other => panic!("expected a configuration error, got {other:?}"),
+    }
+    assert_eq!(results[0].properties, results[2].properties);
+}
+
+#[test]
 fn report_aggregates_and_preserves_job_order() {
     let graph = Dataset::Vote.build_scaled(16);
     let jobs: Vec<_> = (0..6)

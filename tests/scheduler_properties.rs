@@ -30,7 +30,9 @@
 //! serial and sharded engines park into a serialized checkpoint, and a
 //! fresh engine restored from those bytes must finish with properties
 //! and [`Metrics`] bit-identical to an uninterrupted run — across the
-//! memory model on/off and fast-forward on/off.
+//! memory model on/off and fast-forward on/off. Serial and one-chip
+//! checkpoints are the same bytes, and the retired serial format is
+//! rejected by its tag.
 //!
 //! The final section pins the event wheel to its legacy oracle: the
 //! indexed window selection (`higraph_sim::wheel`) must return exactly
@@ -533,6 +535,38 @@ impl ClockedComponent for OverOptimistic {
     fn skip(&mut self, cycles: u64) {
         self.0.skip(cycles);
     }
+}
+
+#[test]
+fn serial_and_one_chip_checkpoints_share_one_format() {
+    // The serial engine is a one-chip sharded engine, so it parks into
+    // the same `SHRC` bytes; its retired `ENGC` tag fails by name.
+    let g = higraph::graph::gen::erdos_renyi(128, 1024, 31, 1);
+    let prog = Bfs::from_source(0);
+    let cfg = AcceleratorConfig::higraph();
+    let control = RunControl::new();
+    control.set_budget_cycles(Some(1));
+    let RunOutcome::Parked(serial) = Engine::new(cfg.clone(), &g)
+        .run_controlled(&prog, &control)
+        .expect("no stall")
+    else {
+        panic!("the serial run must park");
+    };
+    let ShardedOutcome::Parked(one_chip) = ShardedEngine::new(cfg.clone(), ShardConfig::new(1), &g)
+        .run_controlled(&prog, &control)
+        .expect("no stall")
+    else {
+        panic!("the one-chip run must park");
+    };
+    assert!(serial == one_chip, "serial and one-chip checkpoints differ");
+
+    let mut legacy = higraph::sim::SnapWriter::new();
+    legacy.tag(b"ENGC");
+    let err = Engine::new(cfg, &g)
+        .resume_controlled(&prog, &control, &legacy.finish())
+        .expect_err("the retired format must be rejected");
+    let text = err.to_string();
+    assert!(text.contains("SHRC") && text.contains("ENGC"), "{text}");
 }
 
 #[test]

@@ -2,11 +2,16 @@
 //! engine computes, and its modeled inter-chip traffic must agree with
 //! the partitioner's static cut.
 //!
-//! Three layers of guarantees:
+//! Four layers of guarantees:
 //!
-//! * **P = 1 bit-identity** — one chip over a one-slice partition is the
-//!   serial engine: identical Property Array *and* identical `Metrics`
-//!   (cycles, starvation, fabric counters), on the Twitter stand-in.
+//! * **P = 1 bit-identity** — one chip is the serial engine: identical
+//!   Property Array *and* identical `Metrics` (cycles, starvation, fabric
+//!   counters), on the Twitter stand-in. The serial engine is built as a
+//!   one-chip sharded engine, so this now holds by construction.
+//! * **Pinned counts** — serial, sliced and four-chip runs reproduce
+//!   exact cycle and stall counts recorded when each mode had its own
+//!   loop, so the shared driver is checked against something other than
+//!   itself.
 //! * **P > 1 result identity** — any chip count yields the serial
 //!   Property Array; only the timing model changes.
 //! * **Traffic accounting** — over one full-frontier iteration, the
@@ -102,6 +107,68 @@ fn sharded_jobs_match_through_the_batch_runner() {
     // all three modes agree on the algorithm result
     assert_eq!(par[0].properties, par[1].properties);
     assert_eq!(par[0].properties, par[2].properties);
+}
+
+/// The counters [`every_mode_keeps_its_recorded_cycle_counts`] pins:
+/// cycles, scatter and apply cycles, vPE starvation, offset conflicts,
+/// dataflow deliveries and memory stall cycles.
+fn pinned(m: &Metrics) -> [u64; 7] {
+    [
+        m.cycles,
+        m.scatter_cycles,
+        m.apply_cycles,
+        m.vpe_starvation_cycles,
+        m.offset_conflicts,
+        m.dataflow_net.delivered,
+        m.memory.stall_cycles,
+    ]
+}
+
+#[test]
+fn every_mode_keeps_its_recorded_cycle_counts() {
+    // Serial and one-chip runs share one driver, so comparing them checks
+    // the driver against itself. Exact counts pin the simulated machine
+    // instead: a change to any of them changes the model.
+    let g = power_law(300, 2700, 2.0, 31, 23);
+    let prog = Sssp::from_source(higraph::graph::stats::hub_vertex(&g).expect("non-empty").0);
+    let cases = [
+        (
+            "memory off",
+            None,
+            [513, 401, 112, 8034, 191, 4798, 0],
+            [861, 749, 112, 19170, 642, 4798, 0],
+            (7208, 6694),
+            [411, 355, 56, 25506, 836, 4798, 0],
+        ),
+        (
+            "16 KiB cache",
+            Some(MemoryConfig::hbm2().with_cache_kb(16)),
+            [3102, 2990, 112, 90882, 17, 4798, 54398],
+            [4741, 4629, 112, 143330, 142, 4798, 61219],
+            (7208, 4316),
+            [2127, 2071, 56, 235906, 194, 4798, 121137],
+        ),
+    ];
+    for (label, memory, serial, sliced, swap, sharded) in cases {
+        let mut cfg = AcceleratorConfig::higraph();
+        cfg.memory = memory;
+        let mut engine = Engine::new(cfg.clone(), &g);
+        let s = engine.run(&prog).expect("no stall");
+        assert_eq!(pinned(&s.metrics), serial, "serial, {label}");
+        let k = engine.run_sliced(&prog, 3, 32).expect("no stall");
+        assert_eq!(pinned(&k.metrics), sliced, "sliced k = 3, {label}");
+        assert_eq!(
+            (k.swap_cycles_sequential, k.swap_cycles_overlapped),
+            swap,
+            "sliced swap cycles, {label}"
+        );
+        let p = ShardedEngine::new(cfg, ShardConfig::new(4), &g)
+            .run(&prog)
+            .expect("no stall");
+        assert_eq!(pinned(&p.metrics), sharded, "P = 4, {label}");
+        assert_eq!(p.properties, s.properties, "{label}");
+        assert_eq!(k.properties, s.properties, "{label}");
+    }
 }
 
 proptest! {
