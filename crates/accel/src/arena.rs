@@ -29,6 +29,9 @@
 //! values the struct-carrying pipeline computed. Debug builds verify
 //! the lifetime conventions (double-free, use-after-free) per access.
 
+/// Slots every pipeline arena pre-sizes to; arenas grow on demand past it.
+pub const INITIAL_CAPACITY: usize = 1024;
+
 /// SoA arena for `(u32 key, P payload)` pairs — the payload layout
 /// shared by vertex packets (`(u, prop)`) and update packets
 /// (`(v, imm)`).

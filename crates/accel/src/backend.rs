@@ -7,7 +7,7 @@
 //! the clock edge comes from its [`ClockedComponent`] implementation,
 //! driven by the shared `higraph_sim::Scheduler`.
 
-use crate::arena::{EdgeArena, PairArena};
+use crate::arena::{EdgeArena, PairArena, INITIAL_CAPACITY};
 use crate::edge_access::{BankRead, EdgeAccess};
 use crate::metrics::Metrics;
 use crate::netfactory::{AnyNetwork, NetworkFactory};
@@ -50,8 +50,8 @@ impl<P: Copy + 'static> BackEnd<P> {
             edge_access: factory.edge_access(),
             epe_q: (0..m).map(|_| Fifo::new(config.staging_capacity)).collect(),
             dataflow: factory.dataflow_fabric(),
-            edges: EdgeArena::with_capacity(config.arena_capacity),
-            imms: PairArena::with_capacity(config.arena_capacity),
+            edges: EdgeArena::with_capacity(INITIAL_CAPACITY),
+            imms: PairArena::with_capacity(INITIAL_CAPACITY),
             epe_space: vec![false; m],
             bank_reads: Vec::new(),
         }

@@ -321,15 +321,6 @@ impl MemorySubsystem {
         self.inner.is_some()
     }
 
-    /// Sets the DRAM event-wheel horizon (a host-simulation sizing knob,
-    /// see `AcceleratorConfig::wheel_horizon`; modeled cycles are
-    /// unaffected). No-op on the infinite subsystem.
-    pub fn set_wheel_horizon(&mut self, horizon: usize) {
-        if let Some(m) = &mut self.inner {
-            m.dram.set_wheel_horizon(horizon);
-        }
-    }
-
     /// Installs DRAM lines that completed since the last cycle; call at
     /// the start of each combinational phase.
     pub fn begin_cycle(&mut self) {
@@ -463,14 +454,8 @@ impl ClockedComponent for MemorySubsystem {
     /// exclusively when a pipeline stage asks (the stage's own activity
     /// is probed via `MemorySubsystem::edge_query_state` /
     /// `MemorySubsystem::offset_query_state`, which are crate-private).
-    fn next_activity(&mut self) -> Option<u64> {
-        self.inner.as_mut().and_then(|m| m.dram.next_activity())
-    }
-
-    /// Modeled subsystems inherit the DRAM event wheel's indexed window
-    /// selection; unmodeled ones never report a window at all.
-    fn wheel_indexed(&self) -> bool {
-        self.inner.is_some()
+    fn next_activity(&self) -> Option<u64> {
+        self.inner.as_ref().and_then(|m| m.dram.next_activity())
     }
 
     fn skip(&mut self, cycles: u64) {

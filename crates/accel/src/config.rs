@@ -53,12 +53,18 @@ impl MemoryConfig {
         self
     }
 
+    /// Largest accepted cache capacity in KiB (64 MiB; the largest size
+    /// the repo simulates is 1 MiB). Bounding it keeps the line count
+    /// from overflowing and the tag array within host memory.
+    pub const MAX_CACHE_KB: usize = 65_536;
+
     /// Validates the memory knobs.
     ///
     /// # Errors
     ///
     /// Returns a message if any count is zero, the line size is not a
-    /// power of two, or the row size is not a multiple of the line size.
+    /// power of two, the row size is not a multiple of the line size, or
+    /// the cache exceeds [`MemoryConfig::MAX_CACHE_KB`].
     pub fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || self.banks_per_channel == 0 || self.queue_depth == 0 {
             return Err("memory channels, banks, and queue depth must be positive".to_string());
@@ -77,8 +83,12 @@ impl MemoryConfig {
                 self.row_bytes, self.line_bytes
             ));
         }
-        if self.cache_kb == 0 {
-            return Err("cache capacity must be positive".to_string());
+        if self.cache_kb == 0 || self.cache_kb > Self::MAX_CACHE_KB {
+            return Err(format!(
+                "cache_kb {} must be in 1..={}",
+                self.cache_kb,
+                Self::MAX_CACHE_KB
+            ));
         }
         Ok(())
     }
@@ -259,19 +269,6 @@ pub struct AcceleratorConfig {
     /// pre-memory-model behaviour. `Some(_)` routes them through the
     /// edge/offset cache and the HBM channel model (`docs/memory.md`).
     pub memory: Option<MemoryConfig>,
-    /// Initial capacity (in packets) of each per-chip payload arena —
-    /// the SoA stores behind the handle-based packet types
-    /// (`crate::arena`). A host-simulation sizing hint only: arenas grow
-    /// on demand, and the modeled hardware is unaffected.
-    pub arena_capacity: usize,
-    /// Event-wheel horizon in cycles for the scheduler's indexed window
-    /// selection (DRAM channels, multi-chip drains). Must be a power of
-    /// two in `[higraph_sim::wheel::MIN_WHEEL_HORIZON,
-    /// higraph_sim::wheel::MAX_WHEEL_HORIZON]`; wakes beyond it spill to
-    /// an overflow list, so this trades wheel memory against overflow
-    /// scans. Purely a host-simulation knob: cycle counts and `Metrics`
-    /// are bit-identical for any valid value.
-    pub wheel_horizon: usize,
     /// Deterministic fault-injection schedule. `None` (every preset)
     /// injects nothing; `Some(_)` makes the run degrade gracefully under
     /// seeded link stalls, DRAM brown-outs, and chip pauses
@@ -295,8 +292,6 @@ impl AcceleratorConfig {
             radix: 2,
             dispatcher_read_ports: 2,
             memory: None,
-            arena_capacity: 1024,
-            wheel_horizon: higraph_sim::wheel::DEFAULT_WHEEL_HORIZON,
             fault_plan: None,
         }
     }
@@ -327,8 +322,6 @@ impl AcceleratorConfig {
             radix: 2,
             dispatcher_read_ports: 2,
             memory: None,
-            arena_capacity: 1024,
-            wheel_horizon: higraph_sim::wheel::DEFAULT_WHEEL_HORIZON,
             fault_plan: None,
         }
     }
@@ -421,20 +414,6 @@ impl AcceleratorConfig {
         if self.dispatcher_read_ports == 0 {
             return Err("dispatchers need at least one read port".to_string());
         }
-        if self.arena_capacity == 0 {
-            return Err(format!(
-                "arena capacity 0 is invalid for '{}': packet arenas need room for at least \
-                 one in-flight packet; valid capacities: 1 ..= usize::MAX (the default is 1024, \
-                 and arenas grow on demand, so the capacity only sets the initial allocation)",
-                self.name
-            ));
-        }
-        if let Err(reason) = higraph_sim::EventWheel::try_new(1, self.wheel_horizon) {
-            return Err(format!(
-                "wheel horizon rejected for '{}': {reason}",
-                self.name
-            ));
-        }
         if let Some(memory) = &self.memory {
             memory.validate()?;
         }
@@ -457,7 +436,7 @@ impl AcceleratorConfig {
             NetworkKind::NaiveFifo => "fifo",
         };
         let mut s = format!(
-            "fc={};bc={};on={};en={};dn={};buf={};stage={};radix={};ports={};arena={};wheel={}",
+            "fc={};bc={};on={};en={};dn={};buf={};stage={};radix={};ports={}",
             self.front_channels,
             self.back_channels,
             net(self.offset_network),
@@ -467,8 +446,6 @@ impl AcceleratorConfig {
             self.staging_capacity,
             self.radix,
             self.dispatcher_read_ports,
-            self.arena_capacity,
-            self.wheel_horizon,
         );
         match &self.memory {
             None => s.push_str(";mem=none"),
@@ -581,6 +558,10 @@ mod tests {
         assert!(c.validate().is_err());
         c.memory = Some(MemoryConfig::hbm2().with_cache_kb(0));
         assert!(c.validate().is_err());
+        c.memory = Some(MemoryConfig::hbm2().with_cache_kb(MemoryConfig::MAX_CACHE_KB));
+        assert!(c.validate().is_ok());
+        c.memory = Some(MemoryConfig::hbm2().with_cache_kb(MemoryConfig::MAX_CACHE_KB + 1));
+        assert!(c.validate().unwrap_err().contains("cache_kb"));
     }
 
     #[test]

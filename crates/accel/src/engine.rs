@@ -248,7 +248,7 @@ impl<P: Copy + 'static> ClockedComponent for ScatterPipeline<P> {
     /// step always acts) or the front-end can move without memory; when
     /// everything held is waiting on DRAM, the memory subsystem's next
     /// event bounds the idle window.
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         if !self.back.is_drained() || self.front.has_immediate_work(&self.mem) {
             return Some(0);
         }
@@ -260,12 +260,6 @@ impl<P: Copy + 'static> ClockedComponent for ScatterPipeline<P> {
             None if !self.is_drained() => Some(0),
             None => None,
         }
-    }
-
-    /// A modeled memory subsystem answers the dominant window queries
-    /// through the DRAM event wheel; pipeline-local probes stay O(1).
-    fn wheel_indexed(&self) -> bool {
-        self.mem.wheel_indexed()
     }
 
     fn skip(&mut self, cycles: u64) {

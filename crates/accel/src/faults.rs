@@ -57,6 +57,13 @@ pub struct FaultEvent {
     pub end: u64,
 }
 
+impl FaultEvent {
+    /// Whether the window covers global scatter cycle `cycle`.
+    pub fn active_at(&self, cycle: u64) -> bool {
+        self.start <= cycle && cycle < self.end
+    }
+}
+
 /// `splitmix64` — the same tiny seeded generator the dataset builders
 /// use, so fault schedules are reproducible from the plan alone.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -128,27 +135,30 @@ impl FaultRuntime {
     pub fn link_stalled(&self, cycle: u64) -> bool {
         self.events
             .iter()
-            .any(|e| e.kind == FaultKind::LinkStall && e.start <= cycle && cycle < e.end)
+            .any(|e| e.kind == FaultKind::LinkStall && e.active_at(cycle))
     }
 
     /// Whether chip `chip` is clock-gated at `cycle`.
     pub fn chip_paused(&self, cycle: u64, chip: usize) -> bool {
         self.events.iter().any(|e| {
-            matches!(e.kind, FaultKind::ChipPause { chip: c } if c == chip)
-                && e.start <= cycle
-                && cycle < e.end
+            matches!(e.kind, FaultKind::ChipPause { chip: c } if c == chip) && e.active_at(cycle)
         })
     }
 
     /// Applies the brown-out state for `cycle`: calls `set(chip,
-    /// channel, active)` for every channel named by a brown-out event.
-    /// The call is unconditional each cycle (idempotent on the channel's
-    /// pause latch), so overlapping windows and windows that straddle a
-    /// drain or checkpoint boundary resolve without transition tracking.
+    /// channel, active)` for every channel named by a brown-out event,
+    /// where `active` is whether *any* of that channel's windows covers
+    /// `cycle`. The call is unconditional each cycle (idempotent on the
+    /// channel's pause latch), so windows that straddle a drain or
+    /// checkpoint boundary resolve without transition tracking.
     pub fn set_brownouts(&self, cycle: u64, mut set: impl FnMut(usize, usize, bool)) {
         for e in &self.events {
-            if let FaultKind::DramBrownout { chip, channel } = e.kind {
-                set(chip, channel, e.start <= cycle && cycle < e.end);
+            if let kind @ FaultKind::DramBrownout { chip, channel } = e.kind {
+                let active = self
+                    .events
+                    .iter()
+                    .any(|other| other.kind == kind && other.active_at(cycle));
+                set(chip, channel, active);
             }
         }
     }
@@ -232,5 +242,34 @@ mod tests {
         let mut seen = Vec::new();
         rt.set_brownouts(10, |c, ch, on| seen.push((c, ch, on)));
         assert!(seen.is_empty(), "no brown-out events in this schedule");
+    }
+
+    #[test]
+    fn brownouts_on_one_channel_combine() {
+        // A later, inactive window on the same channel must not lift an
+        // active one.
+        let window = |start, end| FaultEvent {
+            kind: FaultKind::DramBrownout {
+                chip: 0,
+                channel: 3,
+            },
+            start,
+            end,
+        };
+        let rt = FaultRuntime {
+            events: vec![window(10, 20), window(50, 60)],
+            total_stall: 20,
+        };
+        let latch_at = |cycle| {
+            let mut latch = None;
+            rt.set_brownouts(cycle, |chip, channel, on| {
+                assert_eq!((chip, channel), (0, 3));
+                latch = Some(on);
+            });
+            latch
+        };
+        assert_eq!(latch_at(15), Some(true));
+        assert_eq!(latch_at(55), Some(true));
+        assert_eq!(latch_at(30), Some(false));
     }
 }

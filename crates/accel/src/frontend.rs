@@ -8,7 +8,7 @@
 //! [`ClockedComponent`] implementation, driven by the shared
 //! `higraph_sim::Scheduler`.
 
-use crate::arena::PairArena;
+use crate::arena::{PairArena, INITIAL_CAPACITY};
 use crate::cache::{MemorySubsystem, QueryState};
 use crate::edge_access::EdgeAccess;
 use crate::metrics::Metrics;
@@ -67,7 +67,7 @@ impl<P: Copy + 'static> FrontEnd<P> {
             offset_q: (0..n).map(|_| Fifo::new(config.staging_capacity)).collect(),
             replay: (0..n).map(|_| ReplayEngine::new(m)).collect(),
             replay_out: vec![None; n],
-            vertices: PairArena::with_capacity(config.arena_capacity),
+            vertices: PairArena::with_capacity(INITIAL_CAPACITY),
             odd_even: OddEvenArbiter::new(),
             offset_rr: 0,
             mdp_offset: config.offset_network == crate::config::NetworkKind::Mdp,

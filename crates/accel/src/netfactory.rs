@@ -182,7 +182,7 @@ impl<T: Packet> ClockedComponent for AnyNetwork<T> {
         Some(*self.stats())
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         match self {
             AnyNetwork::Crossbar(n) => n.next_activity(),
             AnyNetwork::Mdp(n) => n.next_activity(),
@@ -293,11 +293,7 @@ impl NetworkFactory {
     /// infinite-bandwidth stub when the configuration models no memory.
     pub fn memory_subsystem(&self) -> MemorySubsystem {
         match &self.config.memory {
-            Some(memory) => {
-                let mut mem = MemorySubsystem::modeled(memory, self.config.front_channels);
-                mem.set_wheel_horizon(self.config.wheel_horizon);
-                mem
-            }
+            Some(memory) => MemorySubsystem::modeled(memory, self.config.front_channels),
             None => MemorySubsystem::infinite(),
         }
     }

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Number of genome axes.
-pub const AXES: usize = 12;
+pub const AXES: usize = 10;
 
 /// One tunable dimension of the design space.
 ///
@@ -59,11 +59,6 @@ pub enum Axis {
     DramBanks,
     /// Chip count `P`; values above 1 shard the graph across chips.
     Chips,
-    /// Initial packet-arena capacity (host-simulation knob; cycle counts
-    /// are unaffected, so this axis never changes the objectives).
-    ArenaCapacity,
-    /// Event-wheel horizon (host-simulation knob, like the arenas).
-    WheelHorizon,
 }
 
 impl Axis {
@@ -79,8 +74,6 @@ impl Axis {
         Axis::DramChannels,
         Axis::DramBanks,
         Axis::Chips,
-        Axis::ArenaCapacity,
-        Axis::WheelHorizon,
     ];
 
     /// The value list this axis draws from (genomes store indices into
@@ -98,8 +91,6 @@ impl Axis {
             Axis::DramChannels => &[2, 4, 8],
             Axis::DramBanks => &[4, 8, 16],
             Axis::Chips => &[1, 2, 4],
-            Axis::ArenaCapacity => &[256, 1024, 4096],
-            Axis::WheelHorizon => &[256, 1024, 4096],
         }
     }
 
@@ -324,8 +315,6 @@ impl DesignSpace {
             radix: genome.value(Axis::Radix),
             dispatcher_read_ports: 2,
             memory,
-            arena_capacity: genome.value(Axis::ArenaCapacity),
-            wheel_horizon: genome.value(Axis::WheelHorizon),
             fault_plan: None,
         };
         config.validate()?;
@@ -352,9 +341,7 @@ impl DesignSpace {
             .with(Axis::Staging, 1) // 8
             .with(Axis::Radix, 0) // 2
             .with(Axis::CacheKb, 0) // no memory model
-            .with(Axis::Chips, 0) // single chip
-            .with(Axis::ArenaCapacity, 1) // 1024
-            .with(Axis::WheelHorizon, 1); // 1024
+            .with(Axis::Chips, 0); // single chip
         [
             (
                 "MDP-160",
@@ -474,17 +461,8 @@ mod tests {
     }
 
     #[test]
-    fn host_only_axes_never_change_the_objectives() {
-        let [(_, g), _] = DesignSpace::anchors();
-        let a = DesignSpace::build(&g).unwrap();
-        let b = DesignSpace::build(&g.with(Axis::ArenaCapacity, 2).with(Axis::WheelHorizon, 0))
-            .unwrap();
-        assert_eq!(a.objectives(5_000), b.objectives(5_000));
-    }
-
-    #[test]
     fn lattice_size_is_in_the_advertised_range() {
         let n = DesignSpace::size();
-        assert!(n > 100_000, "space should be large enough to search: {n}");
+        assert_eq!(n, 279_936, "docs/dse.md quotes the lattice size");
     }
 }

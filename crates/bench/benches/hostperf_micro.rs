@@ -1,14 +1,13 @@
 //! Host-performance microbenchmarks of the per-cycle hot-path
 //! primitives: `Fifo` push/pop (the ring buffer under every buffered
-//! datapath), a loaded crossbar tick, a loaded `MemoryChannel` tick,
-//! and the `EventWheel` selection loop under sparse vs dense wake sets.
+//! datapath), a loaded crossbar tick, and a loaded `MemoryChannel` tick.
 //! The `repro hostperf` target measures whole runs; these isolate the
-//! data-structure layer so a ring-buffer or wheel regression is visible
-//! on its own, without a simulation around it.
+//! data-structure layer so a ring-buffer or channel regression is
+//! visible on its own, without a simulation around it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use higraph::sim::{
-    ClockedComponent, CrossbarNetwork, DramTiming, EventWheel, Fifo, MemoryChannel, Network, Packet,
+    ClockedComponent, CrossbarNetwork, DramTiming, Fifo, MemoryChannel, Network, Packet,
 };
 use std::hint::black_box;
 
@@ -140,84 +139,10 @@ fn bench_memory_channel_tick(c: &mut Criterion) {
     group.finish();
 }
 
-/// Drives an [`EventWheel`] through the scheduler's fast-forward
-/// discipline for `run` simulated cycles: pop the minimum window, jump
-/// to it, let due slots re-arm one period ahead, mark them dirty, and
-/// select again. `strides[s] == 0` leaves slot `s` unarmed. Returns the
-/// number of window selections (the checksum the benches black-box).
-fn drive_wheel(strides: &[u64], run: u64) -> u64 {
-    let slots = strides.len();
-    let mut wheel = EventWheel::new(slots, 1024);
-    let armed: Vec<usize> = (0..slots).filter(|&s| strides[s] != 0).collect();
-    let mut due: Vec<u64> = strides
-        .iter()
-        .map(|&st| if st == 0 { 0 } else { st })
-        .collect();
-    for &s in &armed {
-        wheel.register(s, Some(due[s]));
-    }
-    let mut now = 0u64;
-    let mut selections = 0u64;
-    while now < run {
-        let window = {
-            let due = &due;
-            wheel.next_window(|s| {
-                if strides[s] == 0 {
-                    None
-                } else {
-                    Some(due[s].saturating_sub(now))
-                }
-            })
-        };
-        selections += 1;
-        let step = window.unwrap_or(1).max(1);
-        now += step;
-        wheel.advance(step);
-        for &s in &armed {
-            if due[s] <= now {
-                due[s] = now + strides[s]; // the slot "fired"; next period
-            }
-        }
-        wheel.dirty_due();
-    }
-    selections
-}
-
-/// The event wheel under the two load shapes that bracket its cost
-/// model: a sparse wake set (few armed slots, long windows — selection
-/// cost is the bitmap jump) and a dense one (every slot armed, short
-/// windows — selection cost is bucket churn and re-registration).
-fn bench_event_wheel(c: &mut Criterion) {
-    const RUN: u64 = 200_000;
-    const SLOTS: usize = 1024;
-    let mut group = c.benchmark_group("event_wheel");
-    group.throughput(Throughput::Elements(RUN));
-    group.bench_function("sparse_8_of_1024", |b| {
-        let mut strides = vec![0u64; SLOTS];
-        for (i, s) in [3usize, 131, 257, 389, 521, 647, 769, 1021]
-            .iter()
-            .enumerate()
-        {
-            strides[*s] = 61 + 53 * i as u64; // co-prime-ish periods
-        }
-        b.iter(|| black_box(drive_wheel(&strides, RUN)))
-    });
-    // Dense selections cost ~40x sparse ones, so run a tenth as many
-    // simulated cycles to keep wall time comparable.
-    const RUN_DENSE: u64 = RUN / 10;
-    group.throughput(Throughput::Elements(RUN_DENSE));
-    group.bench_function("dense_1024_of_1024", |b| {
-        let strides: Vec<u64> = (0..SLOTS as u64).map(|s| 1 + (s % 15)).collect();
-        b.iter(|| black_box(drive_wheel(&strides, RUN_DENSE)))
-    });
-    group.finish();
-}
-
 criterion_group!(
     hostperf_micro,
     bench_fifo,
     bench_crossbar_tick,
-    bench_memory_channel_tick,
-    bench_event_wheel
+    bench_memory_channel_tick
 );
 criterion_main!(hostperf_micro);

@@ -524,13 +524,12 @@ fn hostperf(scale: Scale, out: &mut Report) {
     for r in rows {
         println!(
             "{:<13} {:>8.2}s host, {:>13} simulated cycles, {:>12.0} cycles/s, {} worker(s), \
-             {} wheel / {} poll window selections{}",
+             {} window selections{}",
             r.name,
             r.host_seconds,
             r.simulated_cycles,
             r.cycles_per_host_second,
             r.workers,
-            r.wheel_windows,
             r.poll_windows,
             if r.stalled > 0 {
                 format!(", {} STALLED", r.stalled)
@@ -546,7 +545,6 @@ fn hostperf(scale: Scale, out: &mut Report) {
         );
         out.record(format!("{p}.simulated_cycles"), r.simulated_cycles as f64);
         out.record(format!("{p}.workers"), r.workers as f64);
-        out.record(format!("{p}.wheel_windows"), r.wheel_windows as f64);
         out.record(format!("{p}.poll_windows"), r.poll_windows as f64);
         if r.stalled > 0 {
             out.record(format!("{p}.stalled"), r.stalled as f64);
@@ -592,8 +590,8 @@ fn hostperf(scale: Scale, out: &mut Report) {
     out.record("hostperf.pool.occupancy".to_string(), pool.occupancy);
     println!(
         "(absolute host speed is machine-dependent — recorded for the trajectory,\n\
-         never gated; cycle counts are deterministic. Wheel-vs-poll selection\n\
-         counts show how fast-forward windows were found — see docs/simulation.md)\n"
+         never gated; cycle counts are deterministic. Window-selection counts\n\
+         show how often fast-forward chose a window — see docs/simulation.md)\n"
     );
 }
 
@@ -1160,7 +1158,8 @@ fn faults(scale: Scale, out: &mut Report) -> FaultsOutcome {
     println!(
         "overload: stall guard 1 under faults -> {}\n\
          (fault windows are drawn from the plan's seeded splitmix64 stream; faulty\n\
-         runs disable fast-forward and drain serially — see docs/robustness.md)\n",
+         runs tick every cycle, with fast-forward off, and drain each chip and the\n\
+         link on its own like any run — see docs/robustness.md)\n",
         if overload_stalled {
             "StallDiagnostic (graceful)"
         } else {

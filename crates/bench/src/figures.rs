@@ -513,12 +513,10 @@ pub struct HostPerfRow {
     /// total while their host time still accrued — recorded so a
     /// regression cannot silently corrupt the trajectory).
     pub stalled: usize,
-    /// Fast-forward window selections this leg answered through an
-    /// indexed event wheel (`higraph_sim::selection` delta across the
-    /// leg) — recorded next to `cycles_per_host_second` so the
-    /// trajectory shows *how* windows were found, not just how fast.
-    pub wheel_windows: u64,
-    /// Window selections answered by the legacy O(components) poll.
+    /// Fast-forward window selections the leg made
+    /// (`higraph_sim::selection` delta across the leg) — recorded next
+    /// to `cycles_per_host_second` so the trajectory shows how often
+    /// windows were chosen, not just how fast.
     pub poll_windows: u64,
 }
 
@@ -590,7 +588,6 @@ fn hostperf_on(
         cycles_per_host_second: simulated_cycles as f64 / host_seconds.max(1e-9),
         workers,
         stalled,
-        wheel_windows: selections.wheel_windows,
         poll_windows: selections.poll_windows,
     };
 
@@ -928,6 +925,18 @@ pub fn batch_throughput(scale: Scale) -> (Vec<BatchSweepRow>, BatchReport) {
 mod tests {
     use super::*;
 
+    /// Held by the tests here that fan work out over the shared pool.
+    /// The pool has one worker on a 2-core host, so a sweep running
+    /// beside `hostperf_reports_both_legs` would keep it from the
+    /// lease that test asserts on.
+    static POOL_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn pool_to_myself() -> std::sync::MutexGuard<'static, ()> {
+        POOL_USERS
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn table1_matches_paper() {
         let rows = table1();
@@ -962,6 +971,7 @@ mod tests {
 
     #[test]
     fn shard_sweep_reports_traffic_and_efficiency() {
+        let _pool = pool_to_myself();
         let rows = shard_sweep(Scale::tiny());
         assert_eq!(rows.len(), 4);
         assert_eq!(
@@ -986,6 +996,7 @@ mod tests {
 
     #[test]
     fn full_shard_sweep_covers_six_algorithms() {
+        let _pool = pool_to_myself();
         let rows = shard_sweep_full(Scale::tiny());
         assert_eq!(rows.len(), Algo::ALL.len() * 2);
         for algo in Algo::ALL {
@@ -1000,6 +1011,7 @@ mod tests {
 
     #[test]
     fn mem_sweep_is_monotone_in_cache_size() {
+        let _pool = pool_to_myself();
         // the smallest Table 2 dataset: debug builds must finish fast
         let rows = mem_sweep_on(&Scale::tiny().build(Dataset::Vote), 2);
         assert_eq!(rows.len(), MEM_SWEEP_CACHE_KB.len());
@@ -1043,6 +1055,7 @@ mod tests {
 
     #[test]
     fn hostperf_reports_both_legs() {
+        let _pool = pool_to_myself();
         let g = Scale::tiny().build(Dataset::Vote);
         let (rows, pool) = hostperf_on(&g, &g, 2);
         assert_eq!(rows.len(), 2);
@@ -1067,6 +1080,7 @@ mod tests {
 
     #[test]
     fn simspeed_reports_identical_cycles_for_both_modes() {
+        let _pool = pool_to_myself();
         // a small graph: this is the harness-shape test, not the perf
         // gate (the repro binary gates the measured ratio in release)
         let (rows, speedup) = simspeed_on(&Scale::tiny().build(Dataset::Vote), 2);

@@ -878,9 +878,6 @@ fn parse_spec(id: String, fields: &BTreeMap<String, JsonValue>) -> Result<JobSpe
     }
     let pr_iters = as_count_field(fields, "pr_iters", 3)? as u32;
     let chips = as_count_field(fields, "chips", 1)? as usize;
-    if chips == 0 {
-        return Err("chips must be at least 1".to_string());
-    }
     let budget_cycles = match fields.get("budget_cycles") {
         None => None,
         Some(v) => match as_count(v, "budget_cycles")? {
@@ -900,6 +897,9 @@ fn parse_spec(id: String, fields: &BTreeMap<String, JsonValue>) -> Result<JobSpe
     config
         .validate()
         .map_err(|e| format!("invalid configuration: {e}"))?;
+    ShardConfig::new(chips)
+        .validate()
+        .map_err(|e| format!("invalid shard configuration: {e}"))?;
     Ok(JobSpec {
         id,
         dataset,

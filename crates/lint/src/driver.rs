@@ -32,7 +32,21 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         collect_rs_files(&member.join("src"), &mut files)?;
     }
     files.sort();
-    lint_files(root, &files)
+    let mut report = lint_files(root, &files)?;
+    report.unmatched_hot_paths = unmatched_hot_paths(&files);
+    Ok(report)
+}
+
+/// The [`rules::HOT_PATH_FILES`] entries that no file in `files` has as
+/// its basename. Entries name files by basename, so one whose file was
+/// deleted or renamed would otherwise keep passing silently.
+fn unmatched_hot_paths(files: &[PathBuf]) -> Vec<String> {
+    let basenames: Vec<_> = files.iter().filter_map(|f| f.file_name()).collect();
+    rules::HOT_PATH_FILES
+        .iter()
+        .filter(|&&name| !basenames.iter().any(|&b| b == name))
+        .map(|name| name.to_string())
+        .collect()
 }
 
 /// Lints an explicit file list (paths may be absolute or root-relative).
@@ -137,6 +151,21 @@ mod tests {
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].file, "crates/sim/src/x.rs");
+    }
+
+    #[test]
+    fn hot_path_entries_without_a_file_are_reported() {
+        let all: Vec<PathBuf> = rules::HOT_PATH_FILES
+            .iter()
+            .map(|name| PathBuf::from("crates/x/src").join(name))
+            .collect();
+        assert!(unmatched_hot_paths(&all).is_empty());
+        let without_dram: Vec<PathBuf> = all
+            .iter()
+            .filter(|p| !p.ends_with("dram.rs"))
+            .cloned()
+            .collect();
+        assert_eq!(unmatched_hot_paths(&without_dram), ["dram.rs"]);
     }
 
     #[test]

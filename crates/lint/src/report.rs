@@ -60,6 +60,10 @@ pub struct Report {
     pub violations: Vec<Diagnostic>,
     /// Every allow pragma seen, with its usage flag.
     pub allows: Vec<AllowRecord>,
+    /// Hot-path basenames no scanned file has (workspace scans only).
+    /// Reported informationally, like unused allows: the entry is stale
+    /// and can be deleted.
+    pub unmatched_hot_paths: Vec<String>,
 }
 
 impl Report {
@@ -119,6 +123,13 @@ impl Report {
                 a.file,
                 a.line,
                 a.rules.join(", ")
+            );
+        }
+        for name in &self.unmatched_hot_paths {
+            let _ = writeln!(
+                s,
+                "  note: hot-path entry {name} matches no file under crates/*/src — \
+                 delete it from HOT_PATH_FILES"
             );
         }
         s
@@ -234,6 +245,7 @@ mod tests {
                 reason: "wall-clock only feeds host reporting".into(),
                 used: true,
             }],
+            unmatched_hot_paths: vec!["gone.rs".into()],
         };
         r.finalize();
         r
@@ -258,6 +270,7 @@ mod tests {
         assert!(json.contains("\"panic-freedom\": 1"), "{json}");
         assert!(json.contains("\"clean\": false"), "{json}");
         assert!(json.contains("\"schema\": \"higraph-lint-report/v1\""));
+        assert!(r.render_summary().contains("hot-path entry gone.rs"));
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "backend.rs",
     "apply.rs",
     "fifo.rs",
-    "wheel.rs",
     "arena.rs",
     "network.rs",
     "range.rs",
@@ -330,8 +329,8 @@ fn hot_path_alloc(file: &SourceFile, out: &mut Vec<Diagnostic>) {
 /// (5) Activity-contract completeness: inside any
 /// `impl … ClockedComponent for …` block, an overridden `next_activity`
 /// without an overridden `skip` means fast-forward windows are
-/// advertised but idle effects are never bulk-committed — the exact
-/// drift the debug-build wheel oracles only catch at runtime.
+/// advertised but idle effects are never bulk-committed: the default
+/// `skip` ticks through the window and checks nothing against it.
 fn activity_contract(file: &SourceFile, out: &mut Vec<Diagnostic>) {
     let code = code_tokens(file);
     let mut k = 0;

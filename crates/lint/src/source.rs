@@ -487,7 +487,7 @@ pub fn try_new(n: usize) -> Self {
 }
 fn after() { let c = Vec::new(); }
 ";
-        let f = SourceFile::analyze("crates/sim/src/wheel.rs", src);
+        let f = SourceFile::analyze("crates/sim/src/dram.rs", src);
         assert_eq!(f.pragmas[0].scope, PragmaScope::Item);
         for line in 2..=6 {
             assert_eq!(
@@ -514,7 +514,7 @@ fn ctor() {
     let later = Vec::new();
 }
 ";
-        let f = SourceFile::analyze("crates/sim/src/wheel.rs", src);
+        let f = SourceFile::analyze("crates/sim/src/dram.rs", src);
         for line in 3..=5 {
             assert_eq!(
                 f.allow_covering("hot-path-alloc", line),

@@ -72,7 +72,7 @@ fn panic_freedom_scopes_to_core_crate_library_code() {
 fn hot_path_alloc_keys_on_hot_path_basenames() {
     let bad = "pub fn tick(&mut self) { self.scratch = Vec::new(); }\n";
     assert_eq!(
-        fired(&lint_at("crates/sim/src/wheel.rs", bad)),
+        fired(&lint_at("crates/sim/src/dram.rs", bad)),
         ["hot-path-alloc"]
     );
     // Same construct in a non-hot-path file of the same crate is fine.
@@ -146,7 +146,7 @@ pub fn new(n: usize) -> Self {
 }
 pub fn tick(&mut self) { self.a = Vec::new(); }
 ";
-    let report = lint_at("crates/sim/src/wheel.rs", src);
+    let report = lint_at("crates/sim/src/dram.rs", src);
     // The constructor's two sites are covered; tick() is not.
     assert_eq!(fired(&report), ["hot-path-alloc"]);
     assert_eq!(report.violations[0].line, 8);

@@ -27,6 +27,11 @@ fn workspace_sources_are_lint_clean() {
         report.render_summary()
     );
     assert!(
+        report.unmatched_hot_paths.is_empty(),
+        "hot-path entries without a file: {:?}",
+        report.unmatched_hot_paths
+    );
+    assert!(
         report.files_scanned > 50,
         "expected the full tree, scanned only {} file(s)",
         report.files_scanned

@@ -115,28 +115,12 @@ pub trait ClockedComponent {
     /// which disables fast-forward and is always safe. It must also be
     /// monotone under idleness: if a component reports `Some(k)`, then
     /// after `j <= k` trivial ticks it reports at least `Some(k - j)`.
-    ///
-    /// The receiver is `&mut self` so composites can maintain an indexed
-    /// wake registry ([`crate::wheel::EventWheel`]) while answering;
-    /// observable state must not change — calling this any number of
-    /// times between ticks returns the same value (leaf components keep
-    /// pure `&self` window helpers that this method delegates to, which
-    /// `skip` debug-asserts and the debug-build poll oracles use).
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         if self.is_drained() {
             None
         } else {
             Some(0)
         }
-    }
-
-    /// Whether this component answers [`ClockedComponent::next_activity`]
-    /// through an indexed event wheel rather than an O(components) poll.
-    /// Purely observational: the scheduler uses it to attribute window
-    /// selections in the host-performance trajectory
-    /// ([`crate::selection`]).
-    fn wheel_indexed(&self) -> bool {
-        false
     }
 
     /// Commits `cycles` idle cycles at once — exactly equivalent to
@@ -176,7 +160,7 @@ impl<T> ClockedComponent for crate::fifo::Fifo<T> {
     }
 
     /// Queued items are poppable *now*; an empty FIFO never acts alone.
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         if self.is_empty() {
             None
         } else {
@@ -195,7 +179,7 @@ impl<T> ClockedComponent for VecDeque<T> {
         self.len()
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         if self.is_empty() {
             None
         } else {
@@ -218,7 +202,7 @@ impl ClockedComponent for OddEvenArbiter {
 
     /// The parity flip is pure time-keeping; owners fold it into their
     /// own activity hint.
-    fn next_activity(&mut self) -> Option<u64> {
+    fn next_activity(&self) -> Option<u64> {
         None
     }
 
@@ -243,9 +227,9 @@ impl<C: ClockedComponent> ClockedComponent for Vec<C> {
         self.iter().all(ClockedComponent::is_drained)
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
-        self.iter_mut()
-            .map(|c| c.next_activity())
+    fn next_activity(&self) -> Option<u64> {
+        self.iter()
+            .map(ClockedComponent::next_activity)
             .fold(None, min_activity)
     }
 
@@ -336,11 +320,6 @@ impl Scheduler {
         self
     }
 
-    /// Replaces the stall guard (e.g. re-derived per workload phase).
-    pub fn set_stall_guard(&mut self, limit: u64) {
-        self.stall_guard = limit.max(1);
-    }
-
     /// Enables or disables event-driven fast-forward: when the drained
     /// component reports a strictly positive [`next_activity`] window,
     /// the whole window is committed in O(1) via [`skip`] instead of
@@ -357,11 +336,6 @@ impl Scheduler {
     pub fn with_fast_forward(mut self, on: bool) -> Self {
         self.fast_forward = on;
         self
-    }
-
-    /// Whether event-driven fast-forward is enabled.
-    pub fn fast_forward(&self) -> bool {
-        self.fast_forward
     }
 
     /// Total cycles driven by this scheduler so far.
@@ -466,7 +440,6 @@ impl Scheduler {
         F: FnMut(&mut C, DrainStep),
     {
         use crate::control::CANCEL_POLL_INTERVAL;
-        let indexed = component.wheel_indexed();
         let mut next_poll = 0u64;
         let mut selections = 0u64;
         let mut spent = 0u64;
@@ -523,30 +496,9 @@ impl Scheduler {
             spent += 1;
             self.cycles += 1;
         };
-        // Window selections go to the process-wide tallies, attributed
-        // per drained component via `ClockedComponent::wheel_indexed`.
-        if selections > 0 {
-            if indexed {
-                crate::selection::record(selections, 0);
-            } else {
-                crate::selection::record(0, selections);
-            }
-        }
+        // Window selections go to the process-wide tally once per drain.
+        crate::selection::record(selections);
         result
-    }
-
-    /// Runs `component` for exactly `cycles` cycles regardless of drain
-    /// state (warm-up, fixed-horizon throughput measurements).
-    pub fn run_for<C, F>(&mut self, component: &mut C, cycles: u64, mut combinational: F)
-    where
-        C: ClockedComponent + ?Sized,
-        F: FnMut(&mut C, u64),
-    {
-        for cycle in 0..cycles {
-            combinational(component, cycle);
-            component.tick();
-            self.cycles += 1;
-        }
     }
 }
 
@@ -635,14 +587,6 @@ mod tests {
         assert!(bank.is_drained());
     }
 
-    #[test]
-    fn run_for_counts_fixed_cycles() {
-        let mut net: CrossbarNetwork<TestPacket> = CrossbarNetwork::new(2, 2, 4);
-        let mut s = Scheduler::new();
-        s.run_for(&mut net, 10, |_, _| {});
-        assert_eq!(s.cycles(), 10);
-    }
-
     /// A component that becomes poppable `delay` ticks after each load —
     /// the smallest timed component, for exercising the fast path.
     #[derive(Debug)]
@@ -680,7 +624,7 @@ mod tests {
             usize::from(self.item.is_some())
         }
 
-        fn next_activity(&mut self) -> Option<u64> {
+        fn next_activity(&self) -> Option<u64> {
             self.item.map(|_| self.ready_in)
         }
 

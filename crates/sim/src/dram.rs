@@ -289,34 +289,6 @@ impl MemoryChannel {
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
     }
-
-    /// Cycles until a line can next land in `ready` — the only externally
-    /// observable event a channel produces. Request *issue* is internal
-    /// (it changes no consumer-visible state), so a loaded channel still
-    /// reports a positive window: in-service accesses complete at their
-    /// known `done_at`, and a queued request cannot complete sooner than
-    /// an issue next tick plus the fastest (row-hit) service.
-    ///
-    /// This is the pure `&self` form of
-    /// [`ClockedComponent::next_activity`]; `skip` debug-asserts against
-    /// it, and [`DramSystem`]'s event wheel uses it as the per-channel
-    /// window function and debug-build poll oracle.
-    pub fn activity_window(&self) -> Option<u64> {
-        if !self.ready.is_empty() {
-            return Some(0);
-        }
-        let service = self
-            .banks
-            .iter()
-            .filter_map(|b| b.service.map(|s| s.done_at.saturating_sub(self.now + 1)))
-            .min();
-        let queued = if self.queue.is_empty() {
-            None
-        } else {
-            Some(self.timing.hit_cycles())
-        };
-        crate::clock::min_activity(service, queued)
-    }
 }
 
 impl ClockedComponent for MemoryChannel {
@@ -403,8 +375,27 @@ impl ClockedComponent for MemoryChannel {
             + self.ready.len()
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
-        self.activity_window()
+    /// Cycles until a line can next land in `ready` — the only externally
+    /// observable event a channel produces. Request *issue* is internal
+    /// (it changes no consumer-visible state), so a loaded channel still
+    /// reports a positive window: in-service accesses complete at their
+    /// known `done_at`, and a queued request cannot complete sooner than
+    /// an issue next tick plus the fastest (row-hit) service.
+    fn next_activity(&self) -> Option<u64> {
+        if !self.ready.is_empty() {
+            return Some(0);
+        }
+        let service = self
+            .banks
+            .iter()
+            .filter_map(|b| b.service.map(|s| s.done_at.saturating_sub(self.now + 1)))
+            .min();
+        let queued = if self.queue.is_empty() {
+            None
+        } else {
+            Some(self.timing.hit_cycles())
+        };
+        crate::clock::min_activity(service, queued)
     }
 
     /// With work in motion the window's ticks still issue and serve
@@ -413,7 +404,7 @@ impl ClockedComponent for MemoryChannel {
     /// time-keeping, committed in O(1).
     fn skip(&mut self, cycles: u64) {
         debug_assert!(
-            self.activity_window().is_none_or(|w| cycles <= w),
+            self.next_activity().is_none_or(|w| cycles <= w),
             "skip() overran the channel's activity window"
         );
         if self.queue.is_empty() && self.banks.iter().all(|b| b.service.is_none()) {
@@ -438,12 +429,6 @@ impl ClockedComponent for MemoryChannel {
 pub struct DramSystem {
     channels: Vec<MemoryChannel>,
     row_lines: u64,
-    /// Indexed per-channel wake registry: window selection visits only
-    /// channels with a due or dirty wake instead of polling all of them
-    /// (`docs/simulation.md`). Dirtied on accepts and on due wakes; the
-    /// debug-build oracle holds it equal to
-    /// [`DramSystem::poll_next_activity`].
-    wheel: crate::wheel::EventWheel,
 }
 
 impl DramSystem {
@@ -468,23 +453,7 @@ impl DramSystem {
                 .map(|_| MemoryChannel::new(num_banks, queue_depth, timing))
                 .collect(),
             row_lines,
-            wheel: crate::wheel::EventWheel::new(num_channels, crate::wheel::DEFAULT_WHEEL_HORIZON),
         }
-    }
-
-    /// Replaces the wake-registry horizon (a configuration knob; the
-    /// default is [`crate::wheel::DEFAULT_WHEEL_HORIZON`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `horizon` is invalid per
-    /// [`crate::wheel::EventWheel::try_new`]; configuration-derived
-    /// horizons are validated upstream (`AcceleratorConfig::validate`).
-    pub fn set_wheel_horizon(&mut self, horizon: usize) {
-        let mut wheel = crate::wheel::EventWheel::new(self.channels.len(), horizon);
-        wheel.advance(self.wheel.now());
-        wheel.mark_all_dirty();
-        self.wheel = wheel;
     }
 
     /// Number of channels.
@@ -492,9 +461,7 @@ impl DramSystem {
         self.channels.len()
     }
 
-    /// Browns out (or restores) one channel for fault injection; the
-    /// wake registry is dirtied because the channel's activity window
-    /// changes shape with the flag.
+    /// Browns out (or restores) one channel for fault injection.
     ///
     /// # Panics
     ///
@@ -503,7 +470,6 @@ impl DramSystem {
         // Documented precondition: fault plans are validated against the
         // channel count before injection, so the index is in range.
         self.channels[channel].set_paused(paused);
-        self.wheel.mark_dirty(channel);
     }
 
     /// Decodes a line address to `(channel, bank, row)`.
@@ -519,14 +485,7 @@ impl DramSystem {
     /// accepted it.
     pub fn try_request(&mut self, line: u64) -> bool {
         let (channel, bank, row) = self.map(line);
-        let accepted = self.channels[channel].try_request(line, bank, row);
-        if accepted {
-            // New input can only make the channel's next event earlier
-            // than its registered wake — the one staleness the wheel
-            // cannot recover from on its own.
-            self.wheel.mark_dirty(channel);
-        }
-        accepted
+        self.channels[channel].try_request(line, bank, row)
     }
 
     /// Whether a rejected fetch of `line` stays rejected every cycle
@@ -558,61 +517,26 @@ impl DramSystem {
         }
         all
     }
-
-    /// The legacy O(channels) activity fold — what
-    /// [`ClockedComponent::next_activity`] computed before the event
-    /// wheel. Kept as the debug-build oracle the wheel is asserted
-    /// against, and public so property tests can compare the two on
-    /// randomized traffic.
-    pub fn poll_next_activity(&self) -> Option<u64> {
-        self.channels
-            .iter()
-            .map(MemoryChannel::activity_window)
-            .fold(None, crate::clock::min_activity)
-    }
 }
 
+/// The system clocks as its bank of channels: its window is the earliest
+/// channel's (an O(channels) fold), and a skip is committed to every
+/// channel, busy or not (empty channels have no window to overrun).
 impl ClockedComponent for DramSystem {
     fn tick(&mut self) {
-        for ch in &mut self.channels {
-            ch.tick();
-        }
-        self.wheel.advance(1);
-        // A channel whose wake was reached has just acted; its old wake
-        // says nothing about its future, so re-register it. Channels
-        // sleeping past `now` keep their absolute wake untouched.
-        self.wheel.dirty_due();
+        self.channels.tick();
     }
 
     fn in_flight(&self) -> usize {
-        self.channels.iter().map(ClockedComponent::in_flight).sum()
+        self.channels.in_flight()
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
-        let channels = &self.channels;
-        let window = self.wheel.next_window(|c| channels[c].activity_window());
-        debug_assert_eq!(
-            window,
-            self.poll_next_activity(),
-            "event wheel diverged from the channel activity poll"
-        );
-        window
+    fn next_activity(&self) -> Option<u64> {
+        self.channels.next_activity()
     }
 
-    fn wheel_indexed(&self) -> bool {
-        true
-    }
-
-    /// Every channel's clock advances each cycle, busy or not, so the
-    /// skip is committed to all of them (empty channels have no window
-    /// to overrun). Loaded channels issue internally during the window;
-    /// the wheel's per-candidate revalidation absorbs the resulting
-    /// stale-early wakes.
     fn skip(&mut self, cycles: u64) {
-        for ch in &mut self.channels {
-            ch.skip(cycles);
-        }
-        self.wheel.advance(cycles);
+        self.channels.skip(cycles);
     }
 }
 
@@ -724,7 +648,6 @@ impl crate::snapshot::Snapshot for DramSystem {
         w.tag(b"DSYS");
         w.usize(self.channels.len());
         self.channels[..].save(w);
-        self.wheel.save(w);
     }
 
     fn load(
@@ -739,9 +662,7 @@ impl crate::snapshot::Snapshot for DramSystem {
                 self.channels.len()
             )));
         }
-        self.channels[..].load(r)?;
-        self.wheel.load(r)?;
-        Ok(())
+        self.channels[..].load(r)
     }
 }
 

@@ -26,11 +26,8 @@
 //! * [`clock::ClockedComponent`] / [`clock::Scheduler`] — the cycle
 //!   protocol as a trait plus the driver that clocks any set of
 //!   components,
-//! * [`wheel::EventWheel`] — the indexed calendar queue that turns
-//!   fast-forward window selection from an O(components) poll into an
-//!   O(active) lookup,
-//! * [`selection`] — process-wide wheel-vs-poll selection tallies for
-//!   the host-performance trajectory.
+//! * [`selection`] — the process-wide fast-forward window-selection
+//!   tally for the host-performance trajectory.
 //!
 //! # Cycle protocol
 //!
@@ -59,7 +56,6 @@ pub mod probe;
 pub mod selection;
 pub mod snapshot;
 pub mod stats;
-pub mod wheel;
 
 pub use arbiter::{OddEvenArbiter, RoundRobinArbiter};
 pub use clock::{min_activity, ClockedComponent, DrainStep, Scheduler, StallError};
@@ -74,4 +70,3 @@ pub use probe::Instrumented;
 pub use selection::SelectionCounts;
 pub use snapshot::{content_checksum, SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 pub use stats::NetworkStats;
-pub use wheel::EventWheel;

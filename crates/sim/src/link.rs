@@ -76,23 +76,6 @@ impl<T: Packet> InterChipLink<T> {
         self.latency
     }
 
-    /// The pure `&self` form of the link's activity window.
-    ///
-    /// This is the same value `ClockedComponent::next_activity` reports;
-    /// it is kept as an inherent method so skip debug-asserts and the
-    /// owning composite can query it without a mutable borrow.
-    pub fn activity_window(&self) -> Option<u64> {
-        if self.ingress.iter().any(|q| !q.is_empty()) {
-            return Some(0);
-        }
-        if self.egress.iter().any(|q| !q.is_empty()) {
-            return Some(0);
-        }
-        self.flight
-            .front()
-            .map(|&(deliver_at, _)| deliver_at.saturating_sub(self.now + 1))
-    }
-
     /// Packets each endpoint can inject per cycle.
     pub fn bandwidth(&self) -> usize {
         self.bandwidth
@@ -137,13 +120,21 @@ impl<T: Packet> ClockedComponent for InterChipLink<T> {
     /// Arrived packets are poppable now and queued egress serializes at
     /// the next tick; otherwise the earliest on-the-wire delivery bounds
     /// the idle window (`flight` is ordered by delivery time).
-    fn next_activity(&mut self) -> Option<u64> {
-        self.activity_window()
+    fn next_activity(&self) -> Option<u64> {
+        if self.ingress.iter().any(|q| !q.is_empty()) {
+            return Some(0);
+        }
+        if self.egress.iter().any(|q| !q.is_empty()) {
+            return Some(0);
+        }
+        self.flight
+            .front()
+            .map(|&(deliver_at, _)| deliver_at.saturating_sub(self.now + 1))
     }
 
     fn skip(&mut self, cycles: u64) {
         debug_assert!(
-            self.activity_window().is_none_or(|w| cycles <= w),
+            self.next_activity().is_none_or(|w| cycles <= w),
             "skip() overran the link's activity window"
         );
         self.now += cycles;

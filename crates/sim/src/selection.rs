@@ -1,29 +1,29 @@
-//! Process-wide tallies of fast-forward window selections, split by how
-//! the drained component finds its minimum activity window: through an
-//! indexed [`EventWheel`](crate::wheel::EventWheel) or through the legacy
-//! O(components) `next_activity` poll.
+//! Process-wide tally of fast-forward window selections: how many times
+//! a fast-forward [`Scheduler`](crate::Scheduler) asked a drained
+//! component for its next activity window.
 //!
-//! These are observability counters for the host-performance trajectory
-//! (`repro hostperf` reports wheel-vs-poll selection counts per leg) —
-//! they are *not* part of the accelerator's `Metrics`: a naive per-cycle
-//! drain performs no window selections at all, so folding them into
-//! `Metrics` would break the naive-vs-fast bit-identity contract.
+//! This is an observability counter for the host-performance trajectory
+//! (`repro hostperf` reports the selections per leg) — it is *not* part
+//! of the accelerator's `Metrics`: a naive per-cycle drain performs no
+//! window selections at all, so folding it into `Metrics` would break
+//! the naive-vs-fast bit-identity contract.
 //!
-//! The [`Scheduler`](crate::Scheduler) tallies selections locally during
-//! a drain and flushes them here once per drain, so the atomics stay off
-//! the per-cycle hot path.
+//! The scheduler tallies selections locally during a drain and flushes
+//! them here once per drain, so the atomic stays off the per-cycle hot
+//! path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static WHEEL_WINDOWS: AtomicU64 = AtomicU64::new(0);
 static POLL_WINDOWS: AtomicU64 = AtomicU64::new(0);
 
-/// A snapshot of the process-wide selection tallies.
+/// A snapshot of the process-wide selection tally.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SelectionCounts {
-    /// Window selections answered by an event wheel.
+    /// Always 0: every selection folds its component's windows
+    /// directly. Kept because the repository benchmark reads it, until
+    /// the next benchmark change drops its `sim.wheel.*` metrics.
     pub wheel_windows: u64,
-    /// Window selections answered by the legacy poll.
+    /// Window selections made by fast-forward drains.
     pub poll_windows: u64,
 }
 
@@ -38,20 +38,17 @@ impl SelectionCounts {
     }
 }
 
-/// Adds a drain's local tallies to the process-wide counters.
-pub fn record(wheel_windows: u64, poll_windows: u64) {
-    if wheel_windows > 0 {
-        WHEEL_WINDOWS.fetch_add(wheel_windows, Ordering::Relaxed);
-    }
-    if poll_windows > 0 {
-        POLL_WINDOWS.fetch_add(poll_windows, Ordering::Relaxed);
+/// Adds a drain's local tally to the process-wide counter.
+pub fn record(windows: u64) {
+    if windows > 0 {
+        POLL_WINDOWS.fetch_add(windows, Ordering::Relaxed);
     }
 }
 
-/// The current process-wide tallies.
+/// The current process-wide tally.
 pub fn snapshot() -> SelectionCounts {
     SelectionCounts {
-        wheel_windows: WHEEL_WINDOWS.load(Ordering::Relaxed),
+        wheel_windows: 0,
         poll_windows: POLL_WINDOWS.load(Ordering::Relaxed),
     }
 }
@@ -63,11 +60,11 @@ mod tests {
     #[test]
     fn record_accumulates_into_snapshots() {
         let before = snapshot();
-        record(3, 2);
-        record(0, 0); // no-op fast path
+        record(3);
+        record(0); // no-op fast path
         let delta = snapshot().since(&before);
         // other tests may record concurrently; the delta is at least ours
-        assert!(delta.wheel_windows >= 3, "{delta:?}");
-        assert!(delta.poll_windows >= 2, "{delta:?}");
+        assert!(delta.poll_windows >= 3, "{delta:?}");
+        assert_eq!(delta.wheel_windows, 0);
     }
 }

@@ -40,8 +40,9 @@ use std::fmt;
 
 /// Current snapshot wire-format version. Bump on any layout change;
 /// loads reject other versions with a precise error. Version 2 dropped
-/// the sharded executor's chip event wheel from the `MCHP` layout.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// the sharded executor's chip event wheel from the `MCHP` layout;
+/// version 3 dropped the DRAM event wheel from the `DSYS` layout.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";

@@ -5,14 +5,9 @@
 //! (the shared `CorePool` is pinned to 4 resident workers via
 //! `HIGRAPH_POOL_THREADS` before its first use, so this holds on
 //! single-core CI too).
-//!
-//! The last section fuzzes the configuration surface: invalid arena
-//! capacities and wheel horizons must come back as [`BatchError::Config`]
-//! with a diagnostic that names the valid values — never as a panic.
 
 use higraph::prelude::*;
 use higraph_bench::Scale;
-use proptest::prelude::*;
 
 /// Pins the shared `CorePool` to 4 resident workers. Must run before
 /// anything touches `CorePool::global()` in this process — every test
@@ -165,72 +160,4 @@ fn report_aggregates_and_preserves_job_order() {
     );
     assert!(report.total_edges_processed > 0);
     assert!(report.sims_per_second() > 0.0);
-}
-
-/// Wheel horizons `AcceleratorConfig::validate` must reject: zero,
-/// non-powers-of-two, and anything past the 4096-cycle ring maximum.
-fn invalid_horizon() -> impl Strategy<Value = usize> {
-    prop_oneof![
-        Just(0usize),
-        (3usize..=4096).prop_filter("must not be a power of two", |h| !h.is_power_of_two()),
-        4097usize..1_000_000,
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Fuzzed invalid hot-path knobs surface as [`BatchError::Config`]
-    /// whose message names the valid values (the same idiom as every
-    /// other `validate` diagnostic) — and never panic, whichever layer
-    /// (batch runner or `Engine::try_new`) meets them first.
-    #[test]
-    fn invalid_arena_and_wheel_configs_error_instead_of_panicking(
-        horizon in invalid_horizon(),
-        corrupt_arena in proptest::bool::ANY,
-    ) {
-        let graph = Dataset::Vote.build_scaled(4);
-        let mut cfg = AcceleratorConfig::higraph_mini();
-        if corrupt_arena {
-            cfg.arena_capacity = 0;
-        } else {
-            cfg.wheel_horizon = horizon;
-        }
-
-        // Direct construction refuses with the enumerating diagnostic…
-        let reason = Engine::try_new(cfg.clone(), &graph)
-            .expect_err("invalid config must not construct an engine");
-        if corrupt_arena {
-            prop_assert!(reason.contains("valid capacities"), "got: {reason}");
-        } else {
-            prop_assert!(reason.contains("valid horizons"), "got: {reason}");
-            prop_assert!(reason.contains("power"), "got: {reason}");
-        }
-
-        // …and the batch runner converts it to a per-job Config error
-        // instead of poisoning the sweep.
-        let jobs = vec![BatchJob::new("bad-config", &graph, Bfs::from_source(0), cfg)];
-        let (results, _) = BatchRunner::serial().run(jobs);
-        prop_assert_eq!(results.len(), 1);
-        match &results[0].error {
-            Some(BatchError::Config(message)) => {
-                let expected = if corrupt_arena { "valid capacities" } else { "valid horizons" };
-                prop_assert!(message.contains(expected), "got: {message}");
-            }
-            other => prop_assert!(false, "expected a Config error, got {other:?}"),
-        }
-    }
-
-    /// The flip side: every in-range capacity and power-of-two horizon
-    /// validates, so the rejection above is precise, not conservative.
-    #[test]
-    fn valid_arena_and_wheel_configs_pass_validation(
-        capacity in 1usize..10_000,
-        log_horizon in 0u32..13,
-    ) {
-        let mut cfg = AcceleratorConfig::higraph_mini();
-        cfg.arena_capacity = capacity;
-        cfg.wheel_horizon = 1usize << log_horizon;
-        prop_assert!(cfg.validate().is_ok());
-    }
 }

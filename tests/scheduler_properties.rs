@@ -34,17 +34,17 @@
 //! checkpoints are the same bytes, and the retired serial format is
 //! rejected by its tag.
 //!
-//! The final section pins the event wheel to its legacy oracle: the
-//! indexed window selection (`higraph_sim::wheel`) must return exactly
-//! the minimum the retired O(components) poll would have folded, at
-//! every selection of a drain, under randomized traffic and wheel
-//! horizons — directly on a [`DramSystem`], and (via the debug-build
-//! oracle asserts embedded in `DramSystem::next_activity` and the
-//! multi-chip executor) across all execution modes.
+//! The final section drives a [`DramSystem`] fast-forwarded the way
+//! `Scheduler::drain_with` does against one ticked every cycle: under
+//! randomized traffic, arrival gaps and channel shapes, every line must
+//! complete on the same cycle, with the same counters.
 
 use higraph::mdp::{MdpNetwork, Topology};
 use higraph::prelude::*;
-use higraph::sim::{ClockedComponent, DramTiming, MemoryChannel, Network, Packet, Scheduler};
+use higraph::sim::{
+    ClockedComponent, DramSystem, DramTiming, MemoryChannel, MemoryStats, Network, Packet,
+    Scheduler,
+};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -275,100 +275,90 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Timed traffic in front of a [`DramSystem`]: each `(arrival, line)` is
+/// offered in order from its arrival cycle on, and retried every cycle
+/// until its channel accepts it. A pending line bounds the window by
+/// its arrival, so fast-forward never skips past an offer.
+struct DramTraffic {
+    dram: DramSystem,
+    lines: Vec<(u64, u64)>,
+    cursor: usize,
+    now: u64,
+}
 
-    /// The wheel-vs-poll oracle, checked at every drain step: drive a
-    /// [`higraph::sim::DramSystem`] through the exact fast-forward
-    /// discipline `Scheduler::drain_with` uses (select a window, skip it
-    /// in bulk when positive, tick otherwise), and at every selection
-    /// assert the wheel's `next_activity` equals the legacy
-    /// `poll_next_activity` fold it replaced. Randomized traffic shapes
-    /// exercise dirty re-registration (accepts), due wakes, bulk
-    /// `advance`, and overflow migration (small horizons force wakes
-    /// beyond the ring).
-    #[test]
-    fn wheel_window_matches_legacy_poll_at_every_step(
-        channels in 1usize..5,
-        banks in 1usize..4,
-        depth in 1usize..5,
-        log_horizon in 0u32..13, // horizons 1 ..= 4096, all powers of two
-        lines in proptest::collection::vec(0u64..512, 1..160),
-    ) {
-        use higraph::sim::DramSystem;
-        let mut dram = DramSystem::new(channels, banks, depth, 4, DramTiming::default());
-        dram.set_wheel_horizon(1usize << log_horizon);
-        let mut cursor = 0usize;
-        let mut spent = 0u64;
-        while cursor < lines.len() || dram.in_flight() > 0 {
-            prop_assert_eq!(
-                dram.next_activity(),
-                dram.poll_next_activity(),
-                "wheel diverged from the poll oracle at cycle {}",
-                spent
-            );
-            while cursor < lines.len() && dram.try_request(lines[cursor]) {
-                cursor += 1;
-            }
-            // Re-select after the accepts (they dirty the wheel) and
-            // fast-forward pure waits the way the scheduler would.
-            let window = dram.next_activity();
-            prop_assert_eq!(window, dram.poll_next_activity());
-            match window {
-                Some(w) if w > 0 && cursor >= lines.len() => {
-                    dram.skip(w);
-                    spent += w;
-                }
-                _ => {
-                    dram.tick();
-                    spent += 1;
-                }
-            }
-            while dram.pop_ready().is_some() {}
-            prop_assert!(spent < 1_000_000, "stalled: {} lines undelivered", lines.len() - cursor);
-        }
-        // Quiescent at the end: both sides must agree on `None`.
-        prop_assert_eq!(dram.next_activity(), None);
-        prop_assert_eq!(dram.poll_next_activity(), None);
+impl ClockedComponent for DramTraffic {
+    fn tick(&mut self) {
+        self.dram.tick();
+        self.now += 1;
+    }
+
+    fn in_flight(&self) -> usize {
+        self.dram.in_flight() + self.lines.len() - self.cursor
+    }
+
+    fn next_activity(&self) -> Option<u64> {
+        let offer = self
+            .lines
+            .get(self.cursor)
+            .map(|&(at, _)| at.saturating_sub(self.now));
+        higraph::sim::min_activity(offer, self.dram.next_activity())
+    }
+
+    fn skip(&mut self, cycles: u64) {
+        self.dram.skip(cycles);
+        self.now += cycles;
     }
 }
 
+/// Drains `traffic` with fast-forward on or off; returns each line with
+/// the cycle it was popped on, and the system's counters.
+fn drain_dram(mut traffic: DramTraffic, fast: bool) -> (Vec<(u64, u64)>, MemoryStats) {
+    let mut completions = Vec::new();
+    Scheduler::new()
+        .with_stall_guard(1_000_000)
+        .with_fast_forward(fast)
+        .drain(&mut traffic, |t, cycle| {
+            while let Some(line) = t.dram.pop_ready() {
+                completions.push((line, cycle));
+            }
+            while let Some(&(at, line)) = t.lines.get(t.cursor) {
+                if at > t.now || !t.dram.try_request(line) {
+                    break;
+                }
+                t.cursor += 1;
+            }
+        })
+        .expect("finite traffic drains");
+    (completions, traffic.dram.stats())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The same oracle across execution modes: serial, sliced, and
-    /// sharded drains with fast-forward on (the wheel-indexed path) and
-    /// the memory model on and off. The step-level comparison lives in
-    /// debug asserts inside `DramSystem::next_activity` and the
-    /// multi-chip executor's window selection — this property runs under
-    /// `cargo test` (debug), so any divergence at any selection of any
-    /// drain panics here.
+    /// DRAM fast-forward against per-cycle ticking: folding the window
+    /// over the channels must never let a skip move a completion, a
+    /// rejection or a row-buffer outcome. Channels span 1..=8 (the HBM2
+    /// model has 8); lines arrive in bursts, so idle windows open
+    /// between them and skips interleave with new requests.
     #[test]
-    fn wheel_oracle_holds_across_execution_modes(
-        num_v in 48u32..120,
-        seed in 0u64..1_000,
-        chips in 2usize..4,
-        mem_idx in 0usize..2,
+    fn dram_fast_forward_matches_per_cycle_ticking(
+        channels in 1usize..=8,
+        banks in 1usize..4,
+        depth in 1usize..5,
+        lines in proptest::collection::vec(0u64..512, 1..160),
+        burst in 1usize..24,
+        gap in 0u64..200,
     ) {
-        let g = higraph::graph::gen::erdos_renyi(num_v, u64::from(num_v * 6), 31, seed);
-        let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
-        let prog = Bfs::from_source(src);
-        let mut cfg = AcceleratorConfig::higraph_mini();
-        cfg.memory = memory_variants()[mem_idx];
-
-        let mut engine = Engine::new(cfg.clone(), &g);
-        engine.set_fast_forward(true);
-        let serial = engine.run(&prog).expect("serial drains");
-
-        let mut engine = Engine::new(cfg.clone(), &g);
-        engine.set_fast_forward(true);
-        let sliced = engine.run_sliced(&prog, 3, 32).expect("sliced drains");
-        prop_assert_eq!(&sliced.properties, &serial.properties);
-
-        let mut engine = ShardedEngine::new(cfg, ShardConfig::new(chips), &g);
-        engine.set_fast_forward(true);
-        let sharded = engine.run(&prog).expect("sharded drains");
-        prop_assert_eq!(&sharded.properties, &serial.properties);
+        let traffic = || DramTraffic {
+            dram: DramSystem::new(channels, banks, depth, 4, DramTiming::default()),
+            lines: lines.iter().enumerate().map(|(i, &l)| ((i / burst) as u64 * gap, l)).collect(),
+            cursor: 0,
+            now: 0,
+        };
+        let ticked = drain_dram(traffic(), false);
+        let fast = drain_dram(traffic(), true);
+        prop_assert_eq!(fast.0.len(), lines.len());
+        prop_assert_eq!(fast, ticked);
     }
 }
 
@@ -528,8 +518,8 @@ impl ClockedComponent for OverOptimistic {
         self.0.in_flight()
     }
 
-    fn next_activity(&mut self) -> Option<u64> {
-        self.0.activity_window().map(|w| w + 50)
+    fn next_activity(&self) -> Option<u64> {
+        self.0.next_activity().map(|w| w + 50)
     }
 
     fn skip(&mut self, cycles: u64) {

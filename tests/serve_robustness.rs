@@ -107,7 +107,7 @@ proptest! {
     }
 }
 
-/// One proptest draw: `(front, staging, wheel, cache_kb)` knobs, a
+/// One proptest draw: `(front, staging, buffer, cache_kb)` knobs, a
 /// fault-plan on/off flag, and the plan's `(seed, events, dur, horizon)`.
 type ConfigDraw = ((usize, usize, usize, usize), bool, (u64, u32, u64, u64));
 
@@ -120,7 +120,7 @@ type ConfigKey = (usize, usize, usize, usize, Option<(u64, u32, u64, u64)>);
 fn config_from(
     front: usize,
     staging: usize,
-    wheel: usize,
+    buffer: usize,
     cache_kb: usize,
     faults: Option<(u64, u32, u64, u64)>,
     name: &str,
@@ -129,7 +129,7 @@ fn config_from(
     cfg.name = name.to_string();
     cfg.front_channels = front;
     cfg.staging_capacity = staging;
-    cfg.wheel_horizon = wheel;
+    cfg.dataflow_buffer_per_channel = buffer;
     cfg.memory = (cache_kb > 0).then(|| MemoryConfig::hbm2().with_cache_kb(cache_kb));
     cfg.fault_plan = faults.map(|(seed, events, max_duration, horizon)| FaultPlan {
         seed,
@@ -155,8 +155,8 @@ proptest! {
         b in ((1usize..9, 1usize..9, 1usize..4097, 0usize..9),
               proptest::bool::ANY, (0u64..4, 0u32..4, 0u64..4, 0u64..4)),
     ) {
-        let key = |((front, staging, wheel, cache), faulty, plan): ConfigDraw| {
-            (front, staging, wheel, cache, faulty.then_some(plan))
+        let key = |((front, staging, buffer, cache), faulty, plan): ConfigDraw| {
+            (front, staging, buffer, cache, faulty.then_some(plan))
         };
         let build = |params: ConfigKey, name: &str| {
             config_from(params.0, params.1, params.2, params.3, params.4, name)
@@ -187,6 +187,36 @@ proptest! {
         // fault plan with events > 0 but zero duration) yield an Err.
         let _ = ca.validate();
         let _ = cb.validate();
+    }
+}
+
+/// Submits a job with one oversized field: submit must answer with an
+/// `error` event naming the field instead of queueing the job.
+fn assert_refused_at_submit(field: &str, value: u64) {
+    let line = format!(r#"{{"op": "submit", "id": "big", "algo": "bfs", "{field}": {value}}}"#);
+    let events = ServeSession::new().handle_line(&line);
+    let fields = parse_flat_json_values(&events[0]).expect("well-formed event");
+    let text = |key: &str| fields.get(key).and_then(|v| v.as_str()).unwrap_or("");
+    assert!(
+        events.len() == 1 && text("event") == "error" && text("message").contains(field),
+        "{field} = {value} was not refused by name: {events:?}"
+    );
+}
+
+/// A cache whose byte count overflows (2^54 KiB) would simulate a
+/// one-line cache; one of 2^30 KiB would ask for a 256 GiB tag array.
+#[test]
+fn oversized_cache_kb_is_refused_at_submit() {
+    for kb in [1 << 54, 1 << 30, 65_537] {
+        assert_refused_at_submit("cache_kb", kb);
+    }
+}
+
+/// A run allocates P² staged counts, P pipelines and P graph slices.
+#[test]
+fn oversized_chip_count_is_refused_at_submit() {
+    for chips in [65, 1 << 40] {
+        assert_refused_at_submit("chips", chips);
     }
 }
 
