@@ -56,7 +56,6 @@
 mod apply;
 mod backend;
 mod frontend;
-mod parallel;
 
 pub mod arena;
 pub mod cache;

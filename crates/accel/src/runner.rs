@@ -16,12 +16,12 @@
 //!
 //! A job runs in one of the three [`RunMode`]s — whole graph, sliced
 //! ([`Engine::run_sliced`], Sec. 5.3) or sharded — and all three go
-//! through the one run driver of [`ShardedEngine`]. Sharded jobs
-//! compose with the batch: their chip drains lease whatever pool
-//! workers the batch leaves idle (`docs/performance.md`), falling back
-//! to the calling thread — bit-identically — when the host is
-//! saturated. A job that cannot run (an invalid configuration, zero
-//! slices) or that stalls fails its own entry, never the batch.
+//! through the one run driver of [`ShardedEngine`]. A job's drains
+//! compose with the batch: each scatter phase is a pool batch nested in
+//! the sweep's, so its drains take only workers the sweep leaves idle
+//! (`docs/performance.md`) and otherwise run on the job's own thread,
+//! bit-identically. A job that cannot run (an invalid configuration,
+//! zero slices) or that stalls fails its own entry, never the batch.
 //!
 //! # Example
 //!
@@ -426,10 +426,6 @@ where
             let mut engine = ShardedEngine::try_new(job.config.clone(), shard, job.graph)
                 .map_err(BatchError::Config)?;
             engine.set_stall_guard(job.stall_guard);
-            // Default (auto) threading: each iteration's drains lease
-            // whatever pool workers the batch leaves idle, so batch- and
-            // chip-level parallelism compose instead of oversubscribing.
-            // Results are bit-identical for any worker count.
             let r = engine.run(&job.program)?;
             Ok(BatchResult {
                 label: job.label.clone(),

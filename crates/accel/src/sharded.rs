@@ -49,7 +49,6 @@ use crate::engine::{
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use crate::parallel::{drain_all, exchange_link};
 use higraph_graph::slicing::{partition, slice_swap_cycles, total_cut_edges, Slice};
 use higraph_graph::{Csr, VertexId};
 use higraph_pool::CorePool;
@@ -60,6 +59,7 @@ use higraph_sim::{
 };
 use higraph_vcpm::VertexProgram;
 use std::borrow::Cow;
+use std::sync::{Mutex, PoisonError};
 
 /// Geometry and timing of the inter-chip fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,6 +326,61 @@ impl ClockedComponent for StagedLink {
     }
 }
 
+/// One cycle's inter-chip exchange: chips sink whatever updates arrived
+/// this cycle, then staged updates (synthesized from the counts) are
+/// offered until the link back-pressures.
+fn exchange_link(link: &mut InterChipLink<ShardPacket>, staged: &mut [Vec<u64>]) {
+    for ci in 0..staged.len() {
+        while link.pop(ci).is_some() {}
+    }
+    for (src_chip, row) in staged.iter_mut().enumerate() {
+        // a full egress queue blocks every destination of this source
+        // chip alike — move to the next chip
+        'dsts: for (dst_chip, count) in row.iter_mut().enumerate() {
+            while *count > 0 {
+                let pkt = ShardPacket { src_chip, dst_chip };
+                match link.push(src_chip, pkt) {
+                    Ok(()) => *count -= 1,
+                    Err(_) => break 'dsts,
+                }
+            }
+        }
+    }
+}
+
+/// One of a scatter phase's P + 1 independent drains.
+enum Drain<'a, P> {
+    /// The link with its staged counts.
+    Link(&'a mut StagedLink),
+    /// Chip `id` over its interval's graph and tProperty window.
+    Chip {
+        id: usize,
+        chip: &'a mut ScatterPipeline<P>,
+        metrics: &'a mut Metrics,
+        window: (&'a mut [P], u32),
+        graph: &'a Csr,
+    },
+}
+
+/// Runs `drain` once on every lane as one [`CorePool::run_ordered`]
+/// batch and returns the results in lane order.
+///
+/// Nothing couples a phase's drains: a chip scatters its own interval
+/// into its own tProperty window and its own `Metrics`, and the link
+/// depends on the staged counts alone. So which host thread runs a
+/// drain, and in what order, is invisible to the simulated state, and
+/// the engine combines the results after the join in fixed lane order:
+/// cycles and every metric are bit-identical for any pool size
+/// (`tests/thread_determinism.rs`; `docs/performance.md`).
+fn drain_all<L: Send, R: Send>(lanes: Vec<L>, drain: impl Fn(&mut L) -> R + Sync) -> Vec<R> {
+    let lanes: Vec<Mutex<L>> = lanes.into_iter().map(Mutex::new).collect();
+    // Each lane is locked once, by the one item that drains it; a
+    // poisoned lock means that drain panicked, which the batch re-raises.
+    CorePool::global().run_ordered(lanes.len(), |index| {
+        drain(&mut lanes[index].lock().unwrap_or_else(PoisonError::into_inner))
+    })
+}
+
 /// One destination interval of a run: the edges into
 /// `[dst_start, dst_end)`, which one chip scatters in one phase.
 #[derive(Debug)]
@@ -378,11 +433,6 @@ pub struct ShardedEngine<'g> {
     /// Event-driven fast-forward of idle cycles in every chip and link
     /// drain (on by default; bit-identical — see `docs/simulation.md`).
     fast_forward: bool,
-    /// Host worker threads leased for each iteration's drains (`None` =
-    /// whatever the shared [`CorePool`] has idle, up to one per chip).
-    /// Results are bit-identical for every setting — see
-    /// `docs/performance.md`.
-    threads: Option<usize>,
 }
 
 impl<'g> ShardedEngine<'g> {
@@ -430,7 +480,6 @@ impl<'g> ShardedEngine<'g> {
             cut_edges,
             stall_guard: None,
             fast_forward: true,
-            threads: None,
         })
     }
 
@@ -445,32 +494,6 @@ impl<'g> ShardedEngine<'g> {
     /// bit-identical results either way, like [`crate::Engine`]'s).
     pub fn set_fast_forward(&mut self, on: bool) {
         self.fast_forward = on;
-    }
-
-    /// Sets the host worker threads that drain the chips alongside the
-    /// calling thread. `None` (the default) leases currently-idle
-    /// workers from the process-wide [`CorePool`] each iteration — up
-    /// to one per chip — so chip-level parallelism composes with
-    /// batch-level parallelism instead of oversubscribing the host.
-    /// `Some(n)` demands an exact `n`-worker team (temporary threads
-    /// make up any shortfall); `Some(1)` leases nothing and runs every
-    /// drain on the calling thread. Cycle counts and every metric are
-    /// **bit-identical** for every setting; only host time changes. See
-    /// `docs/performance.md`.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
-    }
-
-    /// Workers an iteration of [`ShardedEngine::run`] leases at full pool
-    /// availability, to drain beside the calling thread: the explicit
-    /// override, or the resident pool's worker count, capped at the chip
-    /// count. Under the default (`None`) policy the actual team can be
-    /// smaller when co-scheduled jobs keep pool workers busy; results
-    /// are bit-identical regardless.
-    pub fn worker_threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| CorePool::global().workers())
-            .clamp(1, self.shard.num_chips)
     }
 
     /// The per-chip accelerator configuration.
@@ -492,9 +515,9 @@ impl<'g> ShardedEngine<'g> {
     /// Executes `program` across all chips to completion.
     ///
     /// Each iteration's scatter phase is P + 1 independent drains — one
-    /// per chip, one for the link — spread over the host threads chosen
-    /// by [`ShardedEngine::set_threads`]. Chips share no state inside a
-    /// phase, so results are bit-identical for every thread count.
+    /// per chip, one for the link — run as one batch of the process-wide
+    /// [`CorePool`]. Chips share no state inside a phase, so results are
+    /// bit-identical for every pool size.
     ///
     /// # Errors
     ///
@@ -622,24 +645,6 @@ impl<'g> ShardedEngine<'g> {
         // every cycle.
         let fast_forward = self.fast_forward && faults.is_none();
 
-        // Host cores are acquired per iteration: an explicit override
-        // leases its exact team (temporary threads cover any shortfall),
-        // the default leases whatever the shared pool has idle *right
-        // now* — so this run and concurrently running batch jobs split
-        // the host instead of oversubscribing it. Without a lease the
-        // calling thread runs every drain back to back.
-        let lease = match self.threads {
-            Some(n) => {
-                let team = n.clamp(1, num_chips);
-                (team > 1).then(|| CorePool::global().lease_exact(team))
-            }
-            None if num_chips > 1 => {
-                let lease = CorePool::global().lease(num_chips);
-                (lease.team_size() > 0).then_some(lease)
-            }
-            None => None,
-        };
-
         let mut windows = split_owned_intervals(&mut st.t_props, intervals).into_iter();
         let mut prev_phase_cycles = 0u64;
         for (phase_index, lanes) in intervals.chunks(num_chips).enumerate() {
@@ -687,35 +692,47 @@ impl<'g> ShardedEngine<'g> {
                 faults,
                 base: st.agg.scatter_cycles,
             };
+            // The link is lane 0, chip p is lane p + 1. A one-chip phase
+            // is two lanes, its link empty.
             let MultiChip { chips, link } = &mut st.multi;
-            let chip_lanes: Vec<_> = chips
+            let chip_drains = chips
                 .iter_mut()
                 .zip(st.chip_metrics.iter_mut())
                 .zip(windows.by_ref())
                 .zip(lanes)
                 .enumerate()
+                .map(|(id, (((chip, metrics), window), lane))| Drain::Chip {
+                    id,
+                    chip,
+                    metrics,
+                    window,
+                    graph: &lane.graph,
+                });
+            let drains = std::iter::once(Drain::Link(&mut *link))
+                .chain(chip_drains)
                 .collect();
-            let (link_spent, chip_spent) = drain_all(
-                lease.as_ref(),
-                chip_lanes,
-                || link.drain(&mut scheduler(), &phase),
-                |(chip_id, (((chip, metrics), window), lane))| {
-                    chip.drain(
-                        &mut scheduler(),
-                        &phase,
-                        chip_id,
-                        &lane.graph,
-                        window,
-                        metrics,
-                    )
-                },
-            );
-
             // Every drain of a stalled phase reports the same
             // `StallError { cycles: guard, limit: guard }`, so the first
-            // error in component order stands for the phase.
-            let outcome: Result<Vec<u64>, DrainError> =
-                std::iter::once(link_spent).chain(chip_spent).collect();
+            // error in lane order stands for the phase.
+            let outcome: Result<Vec<u64>, DrainError> = drain_all(drains, |drain| match drain {
+                Drain::Link(link) => link.drain(&mut scheduler(), &phase),
+                Drain::Chip {
+                    id,
+                    chip,
+                    metrics,
+                    window,
+                    graph,
+                } => chip.drain(
+                    &mut scheduler(),
+                    &phase,
+                    *id,
+                    graph,
+                    (&mut *window.0, window.1),
+                    metrics,
+                ),
+            })
+            .into_iter()
+            .collect();
             let spent = match outcome {
                 Ok(spent) => spent,
                 Err(DrainError::Interrupted { .. }) => return Ok(false),
@@ -752,7 +769,6 @@ impl<'g> ShardedEngine<'g> {
             };
             prev_phase_cycles = phase_cycles;
         }
-        drop(lease); // workers rejoin the stealing rotation
 
         // Apply: functionally global (bit-identity), cycle-wise each chip
         // scans only the vertices of its intervals; the slowest chip
@@ -785,7 +801,7 @@ impl<'g> ShardedEngine<'g> {
     /// Executes `program` under cooperative run control: `control` can
     /// cancel mid-drain or park at the next committed iteration boundary
     /// into a restorable [`Checkpoint`]. Controlled runs drain exactly
-    /// as [`ShardedEngine::run`] does, on the same host threads, and a
+    /// as [`ShardedEngine::run`] does, through the same pool batches, and a
     /// run that completes is bit-identical to it.
     ///
     /// # Errors
@@ -1109,10 +1125,8 @@ fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<
 }
 
 /// The host's available parallelism (the ceiling the shared
-/// [`CorePool`] sizes itself from). [`ShardedEngine::set_threads`]`(None)`
-/// no longer pins to this number — it leases idle pool workers per
-/// iteration — but harnesses still report it as the host context for a
-/// measurement.
+/// [`CorePool`] sizes itself from). Harnesses report it as the host
+/// context for a measurement.
 pub fn auto_worker_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -1314,12 +1328,18 @@ mod tests {
     }
 
     #[test]
+    fn every_lane_drains_once_in_lane_order() {
+        let out = drain_all((0..9u64).collect(), |x| *x * *x);
+        assert_eq!(out, (0..9u64).map(|x| x * x).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn parallel_drains_record_window_selections() {
         // Every chip and link drain runs through a `Scheduler`, so the
-        // leased team's window selections reach the process-wide tally.
+        // window selections of drains on pool workers reach the
+        // process-wide tally.
         let g = power_law(300, 2700, 2.0, 31, 79);
         let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
-        engine.set_threads(Some(4));
         let before = higraph_sim::selection::snapshot();
         engine.run(&PageRank::new(2)).expect("no stall");
         let delta = higraph_sim::selection::snapshot().since(&before);

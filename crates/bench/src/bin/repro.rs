@@ -523,13 +523,12 @@ fn hostperf(scale: Scale, out: &mut Report) {
     let (rows, pool) = figures::hostperf(scale);
     for r in rows {
         println!(
-            "{:<13} {:>8.2}s host, {:>13} simulated cycles, {:>12.0} cycles/s, {} worker(s), \
+            "{:<13} {:>8.2}s host, {:>13} simulated cycles, {:>12.0} cycles/s, \
              {} window selections{}",
             r.name,
             r.host_seconds,
             r.simulated_cycles,
             r.cycles_per_host_second,
-            r.workers,
             r.poll_windows,
             if r.stalled > 0 {
                 format!(", {} STALLED", r.stalled)
@@ -544,7 +543,6 @@ fn hostperf(scale: Scale, out: &mut Report) {
             r.cycles_per_host_second,
         );
         out.record(format!("{p}.simulated_cycles"), r.simulated_cycles as f64);
-        out.record(format!("{p}.workers"), r.workers as f64);
         out.record(format!("{p}.poll_windows"), r.poll_windows as f64);
         if r.stalled > 0 {
             out.record(format!("{p}.stalled"), r.stalled as f64);
@@ -552,15 +550,12 @@ fn hostperf(scale: Scale, out: &mut Report) {
     }
     println!(
         "pool          {} resident worker(s), {:.1}% occupancy; {} task(s) ({} stolen, \
-         {} inline), {} lease(s) for {} worker(s) (+{} oversubscribed)",
+         {} inline)",
         pool.workers,
         pool.occupancy * 100.0,
         pool.tasks_executed,
         pool.tasks_stolen,
         pool.tasks_inline,
-        pool.lease_requests,
-        pool.lease_workers_granted,
-        pool.lease_workers_oversubscribed,
     );
     out.record("hostperf.pool.workers".to_string(), pool.workers as f64);
     out.record(
@@ -574,18 +569,6 @@ fn hostperf(scale: Scale, out: &mut Report) {
     out.record(
         "hostperf.pool.tasks_inline".to_string(),
         pool.tasks_inline as f64,
-    );
-    out.record(
-        "hostperf.pool.lease_requests".to_string(),
-        pool.lease_requests as f64,
-    );
-    out.record(
-        "hostperf.pool.lease_workers_granted".to_string(),
-        pool.lease_workers_granted as f64,
-    );
-    out.record(
-        "hostperf.pool.lease_workers_oversubscribed".to_string(),
-        pool.lease_workers_oversubscribed as f64,
     );
     out.record("hostperf.pool.occupancy".to_string(), pool.occupancy);
     println!(

@@ -507,8 +507,6 @@ pub struct HostPerfRow {
     pub simulated_cycles: u64,
     /// Simulated cycles per host second — the simulator's speed figure.
     pub cycles_per_host_second: f64,
-    /// Intra-run worker threads the leg used per simulation.
-    pub workers: usize,
     /// Runs in this leg that stalled (their cycles are missing from the
     /// total while their host time still accrued — recorded so a
     /// regression cannot silently corrupt the trajectory).
@@ -527,18 +525,12 @@ pub struct HostPerfRow {
 pub struct PoolActivityRow {
     /// Resident workers in the shared pool.
     pub workers: usize,
-    /// Queued pool tasks executed by workers (batch runners + teams).
+    /// Queued pool tasks executed by workers (batch and drain runners).
     pub tasks_executed: u64,
     /// Subset of `tasks_executed` stolen from another worker's deque.
     pub tasks_stolen: u64,
     /// Queued tasks reclaimed and run inline by the submitting thread.
     pub tasks_inline: u64,
-    /// Drain leases served during the measurement.
-    pub lease_requests: u64,
-    /// Resident workers handed to those leases.
-    pub lease_workers_granted: u64,
-    /// Temporary threads attached by exact leases beyond the idle supply.
-    pub lease_workers_oversubscribed: u64,
     /// Busy nanoseconds per resident worker-nanosecond over the window
     /// (0.0 when the pool has no resident workers).
     pub occupancy: f64,
@@ -550,9 +542,9 @@ pub struct PoolActivityRow {
 /// machine-dependent), unlike `simspeed`'s fast-forward ratio.
 ///
 /// * `shardfull_p4` — the six-algorithm sharded suite at P = 4, one run
-///   at a time with intra-run chip parallelism enabled
-///   ([`crate::Algo::run_sharded_threads`] with `threads = None`): the
-///   single-run-latency view of the multi-chip executor.
+///   at a time, each phase's drains spread over the pool
+///   ([`crate::Algo::run_sharded`]): the single-run-latency view of the
+///   multi-chip executor.
 /// * `memstarved` — the `simspeed` cache sweep (bandwidth-starved
 ///   single stack, fast-forward on, pinned at TW/32 × 2 PR iterations):
 ///   the per-cycle hot path under memory stalls.
@@ -576,35 +568,30 @@ fn hostperf_on(
     let pool_before = pool.snapshot();
     // lint:allow(determinism): host-performance measurement (cycles per host-second); never feeds simulated state
     let pool_window = Instant::now();
-    let row = |name,
-               host_seconds: f64,
-               simulated_cycles: u64,
-               workers,
-               stalled,
-               selections: SelectionCounts| HostPerfRow {
-        name,
-        host_seconds,
-        simulated_cycles,
-        cycles_per_host_second: simulated_cycles as f64 / host_seconds.max(1e-9),
-        workers,
-        stalled,
-        poll_windows: selections.poll_windows,
-    };
+    let row =
+        |name, host_seconds: f64, simulated_cycles: u64, stalled, selections: SelectionCounts| {
+            HostPerfRow {
+                name,
+                host_seconds,
+                simulated_cycles,
+                cycles_per_host_second: simulated_cycles as f64 / host_seconds.max(1e-9),
+                stalled,
+                poll_windows: selections.poll_windows,
+            }
+        };
 
     let chips = 4;
-    let shard_workers = higraph::accel::sharded::auto_worker_threads().min(chips);
     let shard_selections_before = selection::snapshot();
     // lint:allow(determinism): host-performance measurement (cycles per host-second); never feeds simulated state
     let start = Instant::now();
     let mut shard_cycles = 0u64;
     let mut shard_stalled = 0usize;
     for algo in Algo::ALL {
-        match algo.run_sharded_threads(
+        match algo.run_sharded(
             &AcceleratorConfig::higraph(),
             ShardConfig::new(chips),
             shard_graph,
             pr_iters,
-            None,
         ) {
             // total simulated work: every chip's cycles, not just the
             // critical path — that is what the host actually computes
@@ -647,9 +634,6 @@ fn hostperf_on(
         tasks_executed: delta.tasks_executed,
         tasks_stolen: delta.tasks_stolen,
         tasks_inline: delta.tasks_inline,
-        lease_requests: delta.lease_requests,
-        lease_workers_granted: delta.lease_workers_granted,
-        lease_workers_oversubscribed: delta.lease_workers_oversubscribed,
         occupancy: delta.occupancy(window_ns, pool.workers()),
     };
 
@@ -658,7 +642,6 @@ fn hostperf_on(
             "shardfull_p4",
             shard_seconds,
             shard_cycles,
-            shard_workers,
             shard_stalled,
             shard_selections,
         ),
@@ -666,7 +649,6 @@ fn hostperf_on(
             "memstarved",
             mem_seconds,
             mem_cycles,
-            1,
             mem_stalled,
             mem_selections,
         ),
@@ -925,18 +907,6 @@ pub fn batch_throughput(scale: Scale) -> (Vec<BatchSweepRow>, BatchReport) {
 mod tests {
     use super::*;
 
-    /// Held by the tests here that fan work out over the shared pool.
-    /// The pool has one worker on a 2-core host, so a sweep running
-    /// beside `hostperf_reports_both_legs` would keep it from the
-    /// lease that test asserts on.
-    static POOL_USERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn pool_to_myself() -> std::sync::MutexGuard<'static, ()> {
-        POOL_USERS
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     #[test]
     fn table1_matches_paper() {
         let rows = table1();
@@ -971,7 +941,6 @@ mod tests {
 
     #[test]
     fn shard_sweep_reports_traffic_and_efficiency() {
-        let _pool = pool_to_myself();
         let rows = shard_sweep(Scale::tiny());
         assert_eq!(rows.len(), 4);
         assert_eq!(
@@ -996,7 +965,6 @@ mod tests {
 
     #[test]
     fn full_shard_sweep_covers_six_algorithms() {
-        let _pool = pool_to_myself();
         let rows = shard_sweep_full(Scale::tiny());
         assert_eq!(rows.len(), Algo::ALL.len() * 2);
         for algo in Algo::ALL {
@@ -1011,7 +979,6 @@ mod tests {
 
     #[test]
     fn mem_sweep_is_monotone_in_cache_size() {
-        let _pool = pool_to_myself();
         // the smallest Table 2 dataset: debug builds must finish fast
         let rows = mem_sweep_on(&Scale::tiny().build(Dataset::Vote), 2);
         assert_eq!(rows.len(), MEM_SWEEP_CACHE_KB.len());
@@ -1055,16 +1022,15 @@ mod tests {
 
     #[test]
     fn hostperf_reports_both_legs() {
-        let _pool = pool_to_myself();
         let g = Scale::tiny().build(Dataset::Vote);
         let (rows, pool) = hostperf_on(&g, &g, 2);
         assert_eq!(rows.len(), 2);
-        // the P = 4 leg drains through pool leases whenever the host has
-        // cores to lend; on a single-core host the counters stay zero
+        // every phase's drains are a pool batch, whose runner tasks a
+        // worker runs or the submitting thread reclaims, however busy
+        // other tests keep the pool; without workers nothing is queued
         assert!(pool.occupancy >= 0.0 && pool.occupancy.is_finite());
         if pool.workers > 0 {
-            assert!(pool.lease_requests > 0, "shardfull_p4 leases per drain");
-            assert!(pool.lease_workers_granted > 0);
+            assert!(pool.tasks_executed + pool.tasks_inline > 0, "{pool:?}");
         }
         assert_eq!(rows[0].name, "shardfull_p4");
         assert_eq!(rows[1].name, "memstarved");
@@ -1072,15 +1038,12 @@ mod tests {
             assert!(r.simulated_cycles > 0, "{}", r.name);
             assert!(r.cycles_per_host_second > 0.0, "{}", r.name);
             assert!(r.cycles_per_host_second.is_finite(), "{}", r.name);
-            assert!(r.workers >= 1, "{}", r.name);
             assert_eq!(r.stalled, 0, "{}: well-sized presets never stall", r.name);
         }
-        assert!(rows[0].workers <= 4, "capped at the chip count");
     }
 
     #[test]
     fn simspeed_reports_identical_cycles_for_both_modes() {
-        let _pool = pool_to_myself();
         // a small graph: this is the harness-shape test, not the perf
         // gate (the repro binary gates the measured ratio in release)
         let (rows, speedup) = simspeed_on(&Scale::tiny().build(Dataset::Vote), 2);

@@ -769,7 +769,7 @@ impl ServeSession {
             "{{\"event\": \"stats\", \"queued\": {}, \"completed\": {}, \"parked\": {}, \
              \"failed\": {}, \"cancelled\": {}, \"memo_entries\": {}, \"memo_hits\": {}, \
              \"memo_evictions\": {}, \"memo_capacity\": {}, \"pool_workers\": {}, \
-             \"pool_tasks_executed\": {}, \"pool_lease_requests\": {}}}",
+             \"pool_tasks_executed\": {}}}",
             self.queue.len(),
             self.completed,
             self.parked.len(),
@@ -781,7 +781,6 @@ impl ServeSession {
             self.memo.capacity(),
             pool.workers(),
             snap.tasks_executed,
-            snap.lease_requests,
         )
     }
 }

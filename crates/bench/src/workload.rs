@@ -118,13 +118,11 @@ impl Algo {
     /// Runs this algorithm across `shard.num_chips` chips and returns the
     /// property-erased summary the multi-chip sweeps report.
     ///
-    /// Uses the default (auto) threading: each iteration's chip drains
-    /// lease whatever workers the shared `higraph_pool::CorePool` has
-    /// idle at that moment, so chip-level parallelism composes with the
-    /// sweep harnesses' batch-level parallelism instead of
-    /// oversubscribing the host. Results are bit-identical for any
-    /// worker count; [`Algo::run_sharded_threads`] exposes the explicit
-    /// override.
+    /// Each scatter phase's chip and link drains run as one batch of the
+    /// shared `higraph_pool::CorePool`, so inside a sweep harness's own
+    /// batch they take only idle workers and never oversubscribe the
+    /// host. Results are bit-identical for any pool size
+    /// (`tests/thread_determinism.rs`); only host time changes.
     ///
     /// # Errors
     ///
@@ -136,28 +134,7 @@ impl Algo {
         graph: &Csr,
         pr_iters: u32,
     ) -> Result<ShardedSummary, StallDiagnostic> {
-        self.run_sharded_threads(config, shard, graph, pr_iters, None)
-    }
-
-    /// [`Algo::run_sharded`] with explicit control over the engine's
-    /// intra-run worker threads (`None` = lease idle pool workers per
-    /// iteration, up to one per chip; `Some(1)` = every drain on the
-    /// calling thread). Results are bit-identical for every setting —
-    /// `tests/thread_determinism.rs` asserts it; only host time changes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`StallDiagnostic`] of a stalled chip or link drain.
-    pub fn run_sharded_threads(
-        self,
-        config: &AcceleratorConfig,
-        shard: ShardConfig,
-        graph: &Csr,
-        pr_iters: u32,
-        threads: Option<usize>,
-    ) -> Result<ShardedSummary, StallDiagnostic> {
         let mut engine = ShardedEngine::new(config.clone(), shard, graph);
-        engine.set_threads(threads);
         match self {
             Algo::Bfs => engine
                 .run(&Bfs::from_source(Algo::source(graph)))

@@ -10,7 +10,7 @@
 //! | [`vcpm`] | `higraph-vcpm` | Vertex-Centric Programming Model + BFS/SSSP/SSWP/PR |
 //! | [`sim`] | `higraph-sim` | cycle-level kernel: FIFOs, arbiters, crossbar, banks, **cycle scheduler** ([`sim::clock`]) |
 //! | [`mdp`] | `higraph-mdp` | **MDP-network**: topology generator, cycle model, range variant, Verilog emitter |
-//! | [`pool`] | `higraph-pool` | **work-stealing host-core pool**: batch jobs, drain-team leases, occupancy stats |
+//! | [`pool`] | `higraph-pool` | **work-stealing host-core pool**: ordered batches for sweeps and phase drains, occupancy stats |
 //! | [`accel`] | `higraph-accel` | HiGraph / HiGraph-mini / GraphDynS engines, metrics, **parallel batch runner** ([`accel::runner`]) |
 //! | [`model`] | `higraph-model` | frequency (Fig. 4), area/power (Sec. 5.4), layout (Fig. 7) |
 //! | — | `higraph-bench` | `repro` binary, `higraph-serve` job service, figure sweeps, Criterion benches (depends on this facade) |

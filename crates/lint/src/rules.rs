@@ -59,7 +59,7 @@ pub const CORE_CRATES: &[&str] = &["sim", "accel", "mdp", "graph", "model", "vcp
 /// that assemble and report on them. `pool` is determinism-scoped even
 /// though it never touches simulated state: its scheduling decisions
 /// (worker count, steal order) must not read clocks or hashed
-/// iteration order, so a drain team's membership stays reproducible.
+/// iteration order except through a reasoned allow.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "sim", "accel", "mdp", "graph", "model", "vcpm", "pool", "bench", "higraph", "lint",
 ];

@@ -1,71 +1,54 @@
-//! The unified host-core pool behind both of HiGraph's parallelism
-//! layers (see `docs/performance.md` and `docs/serve.md`).
+//! The host-core pool behind both of HiGraph's parallelism layers (see
+//! `docs/performance.md` and `docs/serve.md`).
 //!
 //! One process owns one [`CorePool`] ([`CorePool::global`]): a fixed set
 //! of resident worker threads, each with its own task deque, stealing
-//! from its peers when its deque runs dry. Two execution primitives sit
-//! on top:
-//!
-//! * [`CorePool::run_ordered`] — batch-level parallelism. The caller
-//!   submits `n` independent items; worker *runner tasks* plus the
-//!   calling thread drain a shared cursor, results land in submission
-//!   order, and the call returns only when every item is done. This is
-//!   what [`BatchRunner`](../higraph_accel/struct.BatchRunner.html)
-//!   executes sweeps through.
-//! * [`CoreLease`] / [`CoreLease::run_team`] — intra-run parallelism.
-//!   A sharded iteration *leases* currently-idle workers, hands each one
-//!   a team task (pulling chip drains from a shared cursor), works the
-//!   same cursor on the calling thread, and releases the workers when
-//!   the drains complete. Leases only ever claim idle workers, so
-//!   batch jobs and chip drains compose without oversubscription —
-//!   except [`CorePool::lease_exact`], which tops a short grant up with
-//!   temporary threads for callers that *require* a worker count (the
-//!   explicit `ShardedEngine::set_threads(Some(n))` override that
-//!   `tests/thread_determinism.rs` exercises).
+//! from its peers when its deque runs dry. Its one execution primitive,
+//! [`CorePool::run_ordered`], serves both layers: the caller submits `n`
+//! independent items, worker *runner tasks* plus the calling thread
+//! drain a shared cursor, results land in submission order, and the
+//! call returns only when every item is done. Batch sweeps
+//! ([`BatchRunner`](../higraph_accel/struct.BatchRunner.html)) submit
+//! their jobs this way, and each scatter phase of a run submits its
+//! chip and link drains. A run inside a batch job nests one batch in
+//! another: a worker takes a task only when it is idle, and the
+//! submitting thread reclaims every task of its batch that no worker
+//! has started, so nesting never oversubscribes the host or waits on a
+//! busy core.
 //!
 //! # Determinism contract
 //!
 //! The pool schedules *host work*; it never touches simulated state.
 //! Every caller in this workspace (batch sweeps, chip drains, the
 //! `higraph-serve` queue) produces bit-identical results regardless of
-//! worker count, steal order, or co-scheduled jobs — `run_ordered`
-//! preserves item order, and team callers combine their results in a
-//! fixed order after the join.
+//! worker count, steal order, or co-scheduled jobs: `run_ordered`
+//! preserves item order, and no item reads which thread runs it.
 //!
 //! # Soundness
 //!
 //! Tasks borrow caller state (`'env` closures) but run on `'static`
 //! threads, so the pool erases lifetimes — the one `unsafe` surface of
-//! the crate. It is sound because every submission path joins its scope
-//! latch before returning, on panic paths included, and no unjoined
-//! handle is ever exposed (the workspace also denies `mem::forget` via
-//! clippy). See the `SAFETY:` comments at the single transmute site.
+//! the crate. It is sound because `run_ordered` joins its scope latch
+//! before returning, on panic paths included, and no unjoined handle is
+//! ever exposed (the workspace also denies `mem::forget` via clippy).
+//! See the `SAFETY:` comments at the single transmute site.
 
-mod lease;
 mod stats;
 
-pub use lease::{CoreLease, TeamTask};
 pub use stats::PoolSnapshot;
 
 use stats::PoolCounters;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 // lint:allow(determinism): wall-clock only feeds the host-side occupancy counters; simulated state never reads it
 use std::time::Instant;
 
-/// Worker availability states (one `AtomicU8` per worker).
-const IDLE: u8 = 0;
-/// Executing (or about to pop) a queued pool task; not leasable.
-const BUSY: u8 = 1;
-/// Reserved by a [`CoreLease`]; serves only that lease's team tasks.
-const LEASED: u8 = 2;
-
-/// How long an idle or leased worker sleeps between wake checks; the
-/// condition variables are notified on every state change, so this is a
-/// lost-wakeup backstop, not the scheduling latency.
+/// How long an idle worker sleeps between wake checks; the condition
+/// variable is notified on every push, so this is a lost-wakeup
+/// backstop, not the scheduling latency.
 const PARK_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(2);
 
 /// A lifetime-erased queued job.
@@ -80,14 +63,14 @@ struct Task {
 }
 
 /// Completion latch + first-panic store shared by one submission scope.
-pub(crate) struct ScopeState {
+struct ScopeState {
     remaining: Mutex<usize>,
     done: Condvar,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl ScopeState {
-    pub(crate) fn new(tasks: usize) -> Arc<Self> {
+    fn new(tasks: usize) -> Arc<Self> {
         Arc::new(ScopeState {
             remaining: Mutex::new(tasks),
             done: Condvar::new(),
@@ -99,18 +82,18 @@ impl ScopeState {
         Arc::as_ptr(self) as usize
     }
 
-    pub(crate) fn record_panic(&self, payload: Box<dyn Any + Send>) {
+    fn record_panic(&self, payload: Box<dyn Any + Send>) {
         let mut slot = lock(&self.panic);
         if slot.is_none() {
             *slot = Some(payload);
         }
     }
 
-    pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
+    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         lock(&self.panic).take()
     }
 
-    pub(crate) fn finish_one(&self) {
+    fn finish_one(&self) {
         let mut remaining = lock(&self.remaining);
         *remaining -= 1;
         if *remaining == 0 {
@@ -119,7 +102,7 @@ impl ScopeState {
     }
 
     /// Blocks until every task of this scope has finished.
-    pub(crate) fn wait(&self) {
+    fn wait(&self) {
         let mut remaining = lock(&self.remaining);
         while *remaining > 0 {
             remaining = match self.done.wait(remaining) {
@@ -133,7 +116,7 @@ impl ScopeState {
 /// Locks a mutex, recovering from poisoning: the pool's shared state
 /// (counters, result slots, queues) stays valid across a payload panic,
 /// which the wrappers catch and re-raise at the join point anyway.
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     match mutex.lock() {
         Ok(guard) => guard,
         Err(poisoned) => poisoned.into_inner(),
@@ -148,31 +131,21 @@ pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// every path including panics, so the job (and everything it borrows)
 /// never outlives the borrowed environment.
 // SAFETY: declaring the fn unsafe delegates the join-before-'env-ends
-// obligation below to the call sites, which both wait on their
-// ScopeState latch before returning.
+// obligation below to the call site, which waits on its ScopeState
+// latch before returning.
 unsafe fn erase_job<'env>(job: Box<dyn FnOnce() + Send + 'env>) -> ErasedJob {
     // SAFETY: only the lifetime parameter changes; the caller upholds
-    // the join-before-'env-ends contract documented above (both call
-    // sites wait on their ScopeState latch before returning).
+    // the join-before-'env-ends contract documented above (the call
+    // site in `run_ordered` waits on its ScopeState latch before
+    // returning).
     unsafe { std::mem::transmute(job) }
-}
-
-/// Per-worker shared state.
-struct WorkerSlot {
-    /// This worker's task deque: the owner pops the front, thieves pop
-    /// the back.
-    deque: Mutex<VecDeque<Task>>,
-    /// [`IDLE`] / [`BUSY`] / [`LEASED`].
-    mode: AtomicU8,
-    /// Direct handoff slot for lease team tasks.
-    direct: Mutex<Option<ErasedJob>>,
-    /// Wakes a leased worker when a team task lands in `direct`.
-    direct_cv: Condvar,
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    slots: Vec<WorkerSlot>,
+    /// One task deque per worker: the owner pops the front, thieves pop
+    /// the back.
+    deques: Vec<Mutex<VecDeque<Task>>>,
     /// Queued-but-unclaimed task count (parking predicate).
     pending: AtomicUsize,
     /// Round-robin cursor for task placement.
@@ -187,14 +160,14 @@ impl Shared {
     /// Pops a task for worker `me`: own deque first (front), then a
     /// rotating steal scan of the peers (back).
     fn find_task(&self, me: usize) -> Option<Task> {
-        if let Some(task) = lock(&self.slots[me].deque).pop_front() {
+        if let Some(task) = lock(&self.deques[me]).pop_front() {
             self.pending.fetch_sub(1, Ordering::Relaxed);
             return Some(task);
         }
-        let n = self.slots.len();
+        let n = self.deques.len();
         for k in 1..n {
             let victim = (me + k) % n;
-            if let Some(task) = lock(&self.slots[victim].deque).pop_back() {
+            if let Some(task) = lock(&self.deques[victim]).pop_back() {
                 self.pending.fetch_sub(1, Ordering::Relaxed);
                 self.counters.add(&self.counters.tasks_stolen, 1);
                 return Some(task);
@@ -209,26 +182,10 @@ impl Shared {
     }
 }
 
-/// The resident worker loop.
+/// The resident worker loop: run queued tasks, park while there are
+/// none.
 fn worker_loop(shared: Arc<Shared>, me: usize) {
-    let slot_mode = |shared: &Shared| shared.slots[me].mode.load(Ordering::SeqCst);
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if slot_mode(&shared) == LEASED {
-            serve_lease(&shared, me);
-            continue;
-        }
-        // Claim BUSY before popping so a lease can never grab a worker
-        // that is between claiming and running a task.
-        if shared.slots[me]
-            .mode
-            .compare_exchange(IDLE, BUSY, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            continue; // just leased
-        }
+    while !shared.shutdown.load(Ordering::SeqCst) {
         match shared.find_task(me) {
             Some(task) => {
                 // lint:allow(determinism): wall-clock only feeds the host-side occupancy counters; simulated state never reads it
@@ -239,14 +196,11 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
                     started.elapsed().as_nanos() as u64,
                 );
                 shared.counters.add(&shared.counters.tasks_executed, 1);
-                shared.slots[me].mode.store(IDLE, Ordering::SeqCst);
             }
             None => {
-                shared.slots[me].mode.store(IDLE, Ordering::SeqCst);
                 let mut guard = lock(&shared.sleep_lock);
                 while !shared.shutdown.load(Ordering::SeqCst)
                     && shared.pending.load(Ordering::SeqCst) == 0
-                    && slot_mode(&shared) == IDLE
                 {
                     guard = match shared.sleep_cv.wait_timeout(guard, PARK_TIMEOUT) {
                         Ok((g, _)) => g,
@@ -254,35 +208,6 @@ fn worker_loop(shared: Arc<Shared>, me: usize) {
                     };
                 }
             }
-        }
-    }
-}
-
-/// Serves a lease: runs direct team tasks until the lease releases this
-/// worker (mode leaves [`LEASED`]).
-fn serve_lease(shared: &Shared, me: usize) {
-    let slot = &shared.slots[me];
-    let mut direct = lock(&slot.direct);
-    loop {
-        if slot.mode.load(Ordering::SeqCst) != LEASED {
-            return;
-        }
-        if let Some(job) = direct.take() {
-            drop(direct);
-            // lint:allow(determinism): wall-clock only feeds the host-side occupancy counters; simulated state never reads it
-            let started = Instant::now();
-            job();
-            shared.counters.add(
-                &shared.counters.busy_ns,
-                started.elapsed().as_nanos() as u64,
-            );
-            shared.counters.add(&shared.counters.team_tasks, 1);
-            direct = lock(&slot.direct);
-        } else {
-            direct = match slot.direct_cv.wait_timeout(direct, PARK_TIMEOUT) {
-                Ok((g, _)) => g,
-                Err(poisoned) => poisoned.into_inner().0,
-            };
         }
     }
 }
@@ -298,18 +223,10 @@ pub struct CorePool {
 
 impl CorePool {
     /// A pool with exactly `workers` resident threads. Zero workers is
-    /// valid: every primitive then runs on the calling thread (and
-    /// [`CorePool::lease_exact`] still oversubscribes on demand).
+    /// valid: every batch then runs on the calling thread.
     pub fn new(workers: usize) -> Self {
         let shared = Arc::new(Shared {
-            slots: (0..workers)
-                .map(|_| WorkerSlot {
-                    deque: Mutex::new(VecDeque::new()),
-                    mode: AtomicU8::new(IDLE),
-                    direct: Mutex::new(None),
-                    direct_cv: Condvar::new(),
-                })
-                .collect(),
+            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             pending: AtomicUsize::new(0),
             next_push: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
@@ -342,7 +259,7 @@ impl CorePool {
     /// Resident worker threads (not counting submitting threads, which
     /// always participate in their own batches).
     pub fn workers(&self) -> usize {
-        self.shared.slots.len()
+        self.shared.deques.len()
     }
 
     /// A point-in-time copy of the pool's occupancy counters.
@@ -350,16 +267,12 @@ impl CorePool {
         self.shared.counters.snapshot()
     }
 
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
-        &self.shared
-    }
-
     /// Queues one erased task, round-robin across worker deques.
     fn push_task(&self, task: Task) {
-        let n = self.shared.slots.len();
+        let n = self.shared.deques.len();
         debug_assert!(n > 0, "push_task on a worker-less pool");
         let at = self.shared.next_push.fetch_add(1, Ordering::Relaxed) % n;
-        lock(&self.shared.slots[at].deque).push_back(task);
+        lock(&self.shared.deques[at]).push_back(task);
         self.shared.pending.fetch_add(1, Ordering::SeqCst);
         self.shared.wake_all();
     }
@@ -370,8 +283,8 @@ impl CorePool {
     fn drain_scope(&self, scope_id: usize) {
         loop {
             let mut reclaimed = None;
-            for slot in &self.shared.slots {
-                let mut deque = lock(&slot.deque);
+            for deque in &self.shared.deques {
+                let mut deque = lock(deque);
                 if let Some(pos) = deque.iter().position(|t| t.scope_id == scope_id) {
                     reclaimed = deque.remove(pos);
                     break;
@@ -465,10 +378,6 @@ impl Drop for CorePool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.wake_all();
-        for slot in &self.shared.slots {
-            let _guard = lock(&slot.direct);
-            slot.direct_cv.notify_all();
-        }
         for handle in lock(&self.handles).drain(..) {
             let _ = handle.join();
         }
@@ -530,15 +439,15 @@ mod tests {
 
     #[test]
     fn nested_batches_complete() {
-        let pool = Arc::new(CorePool::new(3));
-        let inner_pool = Arc::clone(&pool);
-        let out = pool.run_ordered(4, move |i| {
-            inner_pool
-                .run_ordered(4, |j| i * 10 + j)
-                .iter()
-                .sum::<usize>()
-        });
-        assert_eq!(out, vec![6, 46, 86, 126]);
+        // A sharded run inside a batch job is a batch nested in a batch;
+        // a 2-core host's pool has one worker.
+        for workers in [0usize, 1, 3] {
+            let pool = CorePool::new(workers);
+            let out = pool.run_ordered(4, |i| {
+                pool.run_ordered(4, |j| i * 10 + j).iter().sum::<usize>()
+            });
+            assert_eq!(out, vec![6, 46, 86, 126], "{workers} workers");
+        }
     }
 
     #[test]

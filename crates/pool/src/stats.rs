@@ -19,14 +19,6 @@ pub(crate) struct PoolCounters {
     pub(crate) tasks_inline: AtomicU64,
     /// Individual batch items completed under [`crate::CorePool::run_ordered`].
     pub(crate) items_executed: AtomicU64,
-    /// Lease requests served (regardless of how many workers they got).
-    pub(crate) lease_requests: AtomicU64,
-    /// Resident workers handed to leases.
-    pub(crate) lease_workers_granted: AtomicU64,
-    /// Temporary threads attached by exact leases beyond the idle supply.
-    pub(crate) lease_workers_oversubscribed: AtomicU64,
-    /// Team tasks executed by leased workers.
-    pub(crate) team_tasks: AtomicU64,
     /// Nanoseconds resident workers spent inside task bodies.
     pub(crate) busy_ns: AtomicU64,
 }
@@ -42,11 +34,8 @@ impl PoolCounters {
             tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
             tasks_inline: self.tasks_inline.load(Ordering::Relaxed),
             items_executed: self.items_executed.load(Ordering::Relaxed),
-            lease_requests: self.lease_requests.load(Ordering::Relaxed),
-            lease_workers_granted: self.lease_workers_granted.load(Ordering::Relaxed),
-            lease_workers_oversubscribed: self.lease_workers_oversubscribed.load(Ordering::Relaxed),
-            team_tasks: self.team_tasks.load(Ordering::Relaxed),
             busy_ns: self.busy_ns.load(Ordering::Relaxed),
+            ..PoolSnapshot::default()
         }
     }
 }
@@ -63,14 +52,14 @@ pub struct PoolSnapshot {
     pub tasks_inline: u64,
     /// Batch items completed under `run_ordered`.
     pub items_executed: u64,
-    /// Lease requests served.
+    /// Always 0: the pool has no leases (each scatter phase's drains
+    /// are one `run_ordered` batch). Kept for readers built against the
+    /// field.
     pub lease_requests: u64,
-    /// Resident workers handed to leases.
+    /// Always 0, like [`PoolSnapshot::lease_requests`].
     pub lease_workers_granted: u64,
-    /// Temporary threads attached by exact leases.
+    /// Always 0, like [`PoolSnapshot::lease_requests`].
     pub lease_workers_oversubscribed: u64,
-    /// Team tasks executed by leased workers.
-    pub team_tasks: u64,
     /// Nanoseconds resident workers spent inside task bodies.
     pub busy_ns: u64,
 }
@@ -84,15 +73,8 @@ impl PoolSnapshot {
             tasks_stolen: self.tasks_stolen.saturating_sub(earlier.tasks_stolen),
             tasks_inline: self.tasks_inline.saturating_sub(earlier.tasks_inline),
             items_executed: self.items_executed.saturating_sub(earlier.items_executed),
-            lease_requests: self.lease_requests.saturating_sub(earlier.lease_requests),
-            lease_workers_granted: self
-                .lease_workers_granted
-                .saturating_sub(earlier.lease_workers_granted),
-            lease_workers_oversubscribed: self
-                .lease_workers_oversubscribed
-                .saturating_sub(earlier.lease_workers_oversubscribed),
-            team_tasks: self.team_tasks.saturating_sub(earlier.team_tasks),
             busy_ns: self.busy_ns.saturating_sub(earlier.busy_ns),
+            ..PoolSnapshot::default()
         }
     }
 

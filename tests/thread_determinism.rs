@@ -1,18 +1,25 @@
 //! Intra-run parallelism determinism: a sharded run's cycles, metrics,
-//! properties, and link counters are bit-identical whether the chips are
-//! ticked by the serial drain or by 2 or 8 worker threads, with
-//! fast-forward on or off. The worker count is a host-performance knob,
+//! properties, and link counters are bit-identical however many pool
+//! workers drain its phases, with fast-forward on or off, and whatever
+//! else the pool is running. The pool size is a host-performance knob,
 //! never a results knob — see `docs/performance.md`.
 
+use higraph::pool::CorePool;
 use higraph::prelude::*;
-use higraph::sim::NetworkStats;
+use higraph::sim::{content_checksum, NetworkStats};
+use std::process::Command;
 
-/// A P=4 sharded run of `prog` with an explicit worker-thread setting.
-fn run_with_threads<Prog>(
+/// The test that [`sharded_run_is_bit_identical_across_worker_threads`]
+/// re-runs at each pool size.
+const CHILD: &str = "sharded_scenarios_print_their_results";
+/// Prefix of every line the child prints for comparison.
+const MARK: &str = "determinism| ";
+
+/// A P=4 sharded run of `prog`.
+fn run_p4<Prog>(
     cfg: &AcceleratorConfig,
     graph: &Csr,
     prog: &Prog,
-    threads: usize,
     fast_forward: bool,
 ) -> (Vec<Prog::Prop>, Metrics, Vec<Metrics>, u64, NetworkStats)
 where
@@ -20,7 +27,6 @@ where
     Prog::Prop: Send,
 {
     let mut engine = ShardedEngine::new(cfg.clone(), ShardConfig::new(4), graph);
-    engine.set_threads(Some(threads));
     engine.set_fast_forward(fast_forward);
     let r = engine.run(prog).expect("well-sized config");
     (
@@ -32,85 +38,47 @@ where
     )
 }
 
-fn assert_identical_across_thread_counts<Prog>(cfg: &AcceleratorConfig, graph: &Csr, prog: &Prog)
+/// Prints the run of `prog` with fast-forward on and off, which must
+/// agree.
+fn print_both_modes<Prog>(label: &str, cfg: &AcceleratorConfig, graph: &Csr, prog: &Prog)
 where
     Prog: VertexProgram + Sync,
     Prog::Prop: Send + std::fmt::Debug + PartialEq,
 {
-    for fast_forward in [true, false] {
-        let serial = run_with_threads(cfg, graph, prog, 1, fast_forward);
-        for threads in [2usize, 8] {
-            let parallel = run_with_threads(cfg, graph, prog, threads, fast_forward);
-            let label = format!("{} threads, fast_forward={fast_forward}", threads);
-            assert_eq!(parallel.0, serial.0, "properties differ ({label})");
-            assert_eq!(parallel.1, serial.1, "aggregate metrics differ ({label})");
-            assert_eq!(parallel.2, serial.2, "per-chip metrics differ ({label})");
-            assert_eq!(parallel.3, serial.3, "cross-chip packets differ ({label})");
-            assert_eq!(parallel.4, serial.4, "link stats differ ({label})");
-        }
-    }
+    let fast = run_p4(cfg, graph, prog, true);
+    let naive = run_p4(cfg, graph, prog, false);
+    assert_eq!(fast, naive, "{label}: fast-forward moved a result");
+    println!("{MARK}{label}: {fast:?}");
 }
 
+/// Runs every cross-pool-size scenario at this process's pool size and
+/// prints one line per result; [`sharded_run_is_bit_identical_across_worker_threads`]
+/// compares the lines across pool sizes.
 #[test]
-fn sharded_run_is_bit_identical_across_worker_threads() {
+fn sharded_scenarios_print_their_results() {
+    println!("{MARK}pool workers {}", CorePool::global().workers());
+
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 91);
     let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
-    assert_identical_across_thread_counts(
+    print_both_modes(
+        "sssp",
         &AcceleratorConfig::higraph(),
         &g,
         &Sssp::from_source(src),
     );
-}
 
-#[test]
-fn parallel_drain_is_bit_identical_under_modeled_memory() {
     // Memory-stalled drains exercise the fast-forward window path (bulk
     // skip + commit_idle) on the worker side.
     let g = higraph::graph::gen::power_law(300, 2400, 2.0, 31, 93);
     let mut cfg = AcceleratorConfig::higraph();
     cfg.memory = Some(MemoryConfig::hbm2().with_cache_kb(16));
-    assert_identical_across_thread_counts(&cfg, &g, &PageRank::new(2));
-}
+    print_both_modes("pr hbm2 16KiB", &cfg, &g, &PageRank::new(2));
 
-#[test]
-fn parallel_drain_matches_reference_results() {
-    let g = higraph::graph::gen::erdos_renyi(256, 2048, 31, 95);
-    let prog = Bfs::from_source(0);
-    let expect = higraph::vcpm::reference::execute(&prog, &g);
-    for threads in [2usize, 4, 8] {
-        let (properties, metrics, ..) =
-            run_with_threads(&AcceleratorConfig::higraph(), &g, &prog, threads, true);
-        assert_eq!(properties, expect.properties, "{threads} threads");
-        assert_eq!(
-            metrics.edges_processed, expect.edges_processed,
-            "{threads} threads"
-        );
-    }
-}
-
-#[test]
-fn parallel_drain_reports_stalls_like_serial() {
-    let g = higraph::graph::gen::erdos_renyi(128, 1024, 31, 97);
-    let run = |threads: usize| {
-        let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
-        engine.set_threads(Some(threads));
-        engine.set_stall_guard(Some(2));
-        engine.run(&Bfs::from_source(0)).expect_err("must stall")
-    };
-    let serial = run(1);
-    for threads in [2usize, 8] {
-        let parallel = run(threads);
-        assert_eq!(parallel, serial, "{threads} threads");
-    }
-}
-
-#[test]
-fn fault_plan_run_is_bit_identical_across_worker_threads() {
     // Fault windows pause chips, brown out DRAM channels and stall the
     // link on the global cycle timeline, inside each per-chip drain.
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 101);
     let prog = PageRank::new(2);
-    let clean = run_with_threads(&AcceleratorConfig::higraph(), &g, &prog, 1, true);
+    let clean = run_p4(&AcceleratorConfig::higraph(), &g, &prog, true);
     let mut cfg = AcceleratorConfig::higraph();
     cfg.memory = Some(MemoryConfig::hbm2().with_cache_kb(16));
     cfg.fault_plan = Some(FaultPlan {
@@ -119,59 +87,119 @@ fn fault_plan_run_is_bit_identical_across_worker_threads() {
         max_duration: 200,
         horizon: clean.1.scatter_cycles,
     });
-    assert_identical_across_thread_counts(&cfg, &g, &prog);
-}
+    print_both_modes("pr fault plan", &cfg, &g, &prog);
 
-#[test]
-fn parked_and_resumed_run_is_bit_identical_across_worker_threads() {
+    let g = higraph::graph::gen::erdos_renyi(128, 1024, 31, 97);
+    let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
+    engine.set_stall_guard(Some(2));
+    let stall = engine.run(&Bfs::from_source(0)).expect_err("must stall");
+    println!("{MARK}stall at guard 2: {stall:?}");
+
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 103);
     let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
     let prog = Sssp::from_source(src);
-    let run = |threads: usize| {
-        let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
-        engine.set_threads(Some(threads));
-        let control = RunControl::new();
-        control.set_budget_cycles(Some(1));
-        let parked = match engine.run_controlled(&prog, &control).expect("no stall") {
-            ShardedOutcome::Parked(ck) => ck,
-            other => panic!("expected a parked run, got {other:?}"),
-        };
-        control.set_budget_cycles(None);
-        match engine
-            .resume_controlled(&prog, &control, &parked.bytes)
-            .expect("resumes")
-        {
-            ShardedOutcome::Done(r) => (r.properties, r.metrics, r.chips, r.link),
-            other => panic!("expected completion, got {other:?}"),
-        }
+    let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
+    let control = RunControl::new();
+    control.set_budget_cycles(Some(1));
+    let parked = match engine.run_controlled(&prog, &control).expect("no stall") {
+        ShardedOutcome::Parked(ck) => ck,
+        other => panic!("expected a parked run, got {other:?}"),
     };
-    let serial = run(1);
-    for threads in [2usize, 8] {
-        assert_eq!(run(threads), serial, "{threads} threads");
+    println!(
+        "{MARK}parked at budget 1: {} bytes, checksum {:#x}, {} cycles, {} iterations",
+        parked.bytes.len(),
+        content_checksum(&parked.bytes),
+        parked.cycles,
+        parked.iterations
+    );
+    control.set_budget_cycles(None);
+    match engine
+        .resume_controlled(&prog, &control, &parked.bytes)
+        .expect("resumes")
+    {
+        ShardedOutcome::Done(r) => println!(
+            "{MARK}resumed: {:?}",
+            (r.properties, r.metrics, r.chips, r.link)
+        ),
+        other => panic!("expected completion, got {other:?}"),
     }
+}
+
+/// Re-runs this test binary's [`CHILD`] with `workers` resident pool
+/// workers and returns its result lines.
+fn child_results(workers: usize) -> Vec<String> {
+    let out = Command::new(std::env::current_exe().expect("test binary path"))
+        .args(["--exact", CHILD, "--nocapture"])
+        .env("HIGRAPH_POOL_THREADS", workers.to_string())
+        .output()
+        .expect("re-run the test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "child at {workers} workers failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut lines = stdout.lines().filter_map(|line| {
+        line.find(MARK)
+            .map(|at| line[at + MARK.len()..].to_string())
+    });
+    assert_eq!(
+        lines.next(),
+        Some(format!("pool workers {workers}")),
+        "the child must run at the pool size it was given:\n{stdout}"
+    );
+    let results: Vec<String> = lines.collect();
+    assert!(
+        !results.is_empty(),
+        "the child printed no results:\n{stdout}"
+    );
+    results
+}
+
+#[test]
+fn sharded_run_is_bit_identical_across_worker_threads() {
+    // The pool size is fixed per process at first use, so each size
+    // gets its own process. With no workers every drain runs on the
+    // calling thread; with 4, each lane of a P = 4 phase (the link and
+    // four chips) can run on its own thread.
+    let serial = child_results(0);
+    for workers in [1usize, 4] {
+        let parallel = child_results(workers);
+        assert_eq!(parallel.len(), serial.len(), "{workers} workers");
+        for (got, want) in parallel.iter().zip(&serial) {
+            assert!(
+                got == want,
+                "{workers} workers diverged from 0:\n{got}\n{want}"
+            );
+        }
+    }
+}
+
+#[test]
+fn parallel_drain_matches_reference_results() {
+    let g = higraph::graph::gen::erdos_renyi(256, 2048, 31, 95);
+    let prog = Bfs::from_source(0);
+    let expect = higraph::vcpm::reference::execute(&prog, &g);
+    let (properties, metrics, ..) = run_p4(&AcceleratorConfig::higraph(), &g, &prog, true);
+    assert_eq!(properties, expect.properties);
+    assert_eq!(metrics.edges_processed, expect.edges_processed);
 }
 
 // ---------------------------------------------------------------------
 // Pool stress suite: the shared work-stealing CorePool under
 // oversubscription, randomized injection order, and mid-run
 // cancellation. The invariant is always the same — every completed
-// job's results are bit-identical to a serial (one-thread) run of that
-// job alone, no matter how the host cores were contended for.
+// job's results are bit-identical to a run of that job alone, no
+// matter how the host cores were contended for.
 // ---------------------------------------------------------------------
 
-/// One stress job: SSSP from `source` on `graphs[graph]`, P = 4 chips,
-/// with the drain's lease policy chosen by `threads`.
-fn stress_job(
-    graphs: &[Csr],
-    (graph, source): (usize, u32),
-    threads: Option<usize>,
-) -> (Vec<u64>, Metrics, u64) {
+/// One stress job: SSSP from `source` on `graphs[graph]`, P = 4 chips.
+fn stress_job(graphs: &[Csr], (graph, source): (usize, u32)) -> (Vec<u64>, Metrics, u64) {
     let mut engine = ShardedEngine::new(
         AcceleratorConfig::higraph(),
         ShardConfig::new(4),
         &graphs[graph],
     );
-    engine.set_threads(threads);
     let r = engine
         .run(&Sssp::from_source(source))
         .expect("well-sized config");
@@ -195,19 +223,20 @@ fn stress_jobs(graphs: &[Csr]) -> Vec<(usize, u32)> {
 
 #[test]
 fn oversubscribed_job_batch_is_bit_identical_to_serial() {
-    // 12 jobs x 4 chips on a laptop-sized host: batch tasks and drain
-    // teams vastly outnumber cores, so every lease path (full grant,
-    // partial grant, empty grant -> serial fallback) gets exercised.
+    // 12 jobs x 4 chips on a laptop-sized host: jobs and their phases'
+    // drains, each a batch nested in a job, vastly outnumber cores, so
+    // drains run on idle workers, on the job's own thread, or both.
     let graphs = stress_graphs();
     let jobs = stress_jobs(&graphs);
-    let serial: Vec<_> = jobs
-        .iter()
-        .map(|&job| stress_job(&graphs, job, Some(1)))
-        .collect();
-    let pool = higraph::pool::CorePool::global();
-    let concurrent = pool.run_ordered(jobs.len(), |i| stress_job(&graphs, jobs[i], None));
-    for (i, (got, want)) in concurrent.iter().zip(&serial).enumerate() {
-        assert_eq!(got, want, "job {i} ({:?}) diverged from serial", jobs[i]);
+    let alone: Vec<_> = jobs.iter().map(|&job| stress_job(&graphs, job)).collect();
+    let pool = CorePool::global();
+    let concurrent = pool.run_ordered(jobs.len(), |i| stress_job(&graphs, jobs[i]));
+    for (i, (got, want)) in concurrent.iter().zip(&alone).enumerate() {
+        assert_eq!(
+            got, want,
+            "job {i} ({:?}) diverged from its run alone",
+            jobs[i]
+        );
     }
 }
 
@@ -220,21 +249,18 @@ fn seeded_injection_order_does_not_change_results() {
     use rand::{Rng, SeedableRng};
     let graphs = stress_graphs();
     let jobs = stress_jobs(&graphs);
-    let serial: Vec<_> = jobs
-        .iter()
-        .map(|&job| stress_job(&graphs, job, Some(1)))
-        .collect();
-    let pool = higraph::pool::CorePool::global();
+    let alone: Vec<_> = jobs.iter().map(|&job| stress_job(&graphs, job)).collect();
+    let pool = CorePool::global();
     for seed in [7u64, 19, 83] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         for i in (1..order.len()).rev() {
             order.swap(i, rng.gen_range(0..=i));
         }
-        let shuffled = pool.run_ordered(order.len(), |i| stress_job(&graphs, jobs[order[i]], None));
+        let shuffled = pool.run_ordered(order.len(), |i| stress_job(&graphs, jobs[order[i]]));
         for (slot, result) in order.iter().zip(&shuffled) {
             assert_eq!(
-                *result, serial[*slot],
+                *result, alone[*slot],
                 "seed {seed}: job {slot} diverged under shuffled injection"
             );
         }
@@ -245,7 +271,7 @@ fn seeded_injection_order_does_not_change_results() {
 fn cancellation_mid_run_leaves_completed_jobs_bit_identical() {
     // Drive the job service a step at a time: cancel a queued job while
     // another is already done, then check each *completed* job against a
-    // pinned-serial run of the same specification.
+    // direct run of the same specification.
     use higraph_bench::{Algo, ServeSession};
     let mut session = ServeSession::new();
     let submit = |algo: &str, id: &str, priority: i64| {
@@ -291,30 +317,17 @@ fn cancellation_mid_run_leaves_completed_jobs_bit_identical() {
     ] {
         assert!(line.contains(&format!("\"id\": \"{id}\"")), "{line}");
         let reference = algo
-            .run_sharded_threads(
+            .run_sharded(
                 &AcceleratorConfig::higraph(),
                 ShardConfig::new(2),
                 &graph,
                 3,
-                Some(1),
             )
             .expect("well-sized config");
         assert_eq!(
             cycles_of(line),
             reference.metrics.cycles,
-            "{id}: service run diverged from pinned-serial"
+            "{id}: service run diverged from a direct run"
         );
     }
-}
-
-#[test]
-fn auto_thread_count_is_capped_by_chips() {
-    let g = higraph::graph::gen::erdos_renyi(64, 256, 15, 99);
-    let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(2), &g);
-    assert!(engine.worker_threads() >= 1);
-    assert!(engine.worker_threads() <= 2, "capped at the chip count");
-    engine.set_threads(Some(64));
-    assert_eq!(engine.worker_threads(), 2);
-    engine.set_threads(Some(1));
-    assert_eq!(engine.worker_threads(), 1);
 }
