@@ -9,9 +9,10 @@ use higraph::prelude::*;
 use higraph::sim::{content_checksum, NetworkStats};
 use std::process::Command;
 
-/// The test that [`sharded_run_is_bit_identical_across_worker_threads`]
-/// re-runs at each pool size.
+/// The test that each cross-pool-size test re-runs at each pool size.
 const CHILD: &str = "sharded_scenarios_print_their_results";
+/// Names the one scenario a re-run [`CHILD`] prints; unset, it prints all.
+const SCENARIO: &str = "HIGRAPH_DETERMINISM_SCENARIO";
 /// Prefix of every line the child prints for comparison.
 const MARK: &str = "determinism| ";
 
@@ -51,13 +52,7 @@ where
     println!("{MARK}{label}: {fast:?}");
 }
 
-/// Runs every cross-pool-size scenario at this process's pool size and
-/// prints one line per result; [`sharded_run_is_bit_identical_across_worker_threads`]
-/// compares the lines across pool sizes.
-#[test]
-fn sharded_scenarios_print_their_results() {
-    println!("{MARK}pool workers {}", CorePool::global().workers());
-
+fn sssp_scenario() {
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 91);
     let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
     print_both_modes(
@@ -66,16 +61,20 @@ fn sharded_scenarios_print_their_results() {
         &g,
         &Sssp::from_source(src),
     );
+}
 
-    // Memory-stalled drains exercise the fast-forward window path (bulk
-    // skip + commit_idle) on the worker side.
+/// Memory-stalled drains exercise the fast-forward window path (bulk
+/// skip + commit_idle) on the worker side.
+fn modeled_memory_scenario() {
     let g = higraph::graph::gen::power_law(300, 2400, 2.0, 31, 93);
     let mut cfg = AcceleratorConfig::higraph();
     cfg.memory = Some(MemoryConfig::hbm2().with_cache_kb(16));
     print_both_modes("pr hbm2 16KiB", &cfg, &g, &PageRank::new(2));
+}
 
-    // Fault windows pause chips, brown out DRAM channels and stall the
-    // link on the global cycle timeline, inside each per-chip drain.
+/// Fault windows pause chips, brown out DRAM channels and stall the
+/// link on the global cycle timeline, inside each per-chip drain.
+fn fault_plan_scenario() {
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 101);
     let prog = PageRank::new(2);
     let clean = run_p4(&AcceleratorConfig::higraph(), &g, &prog, true);
@@ -88,13 +87,17 @@ fn sharded_scenarios_print_their_results() {
         horizon: clean.1.scatter_cycles,
     });
     print_both_modes("pr fault plan", &cfg, &g, &prog);
+}
 
+fn stall_scenario() {
     let g = higraph::graph::gen::erdos_renyi(128, 1024, 31, 97);
     let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(4), &g);
     engine.set_stall_guard(Some(2));
     let stall = engine.run(&Bfs::from_source(0)).expect_err("must stall");
     println!("{MARK}stall at guard 2: {stall:?}");
+}
 
+fn park_and_resume_scenario() {
     let g = higraph::graph::gen::power_law(300, 2700, 2.0, 31, 103);
     let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
     let prog = Sssp::from_source(src);
@@ -125,18 +128,43 @@ fn sharded_scenarios_print_their_results() {
     }
 }
 
-/// Re-runs this test binary's [`CHILD`] with `workers` resident pool
-/// workers and returns its result lines.
-fn child_results(workers: usize) -> Vec<String> {
+/// The cross-pool-size scenarios, by the name [`SCENARIO`] selects.
+const SCENARIOS: [(&str, fn()); 5] = [
+    ("sssp", sssp_scenario),
+    ("modeled memory", modeled_memory_scenario),
+    ("fault plan", fault_plan_scenario),
+    ("stall", stall_scenario),
+    ("park and resume", park_and_resume_scenario),
+];
+
+/// Runs the scenario [`SCENARIO`] names (every scenario when it is
+/// unset) at this process's pool size and prints one line per result;
+/// [`assert_identical_across_pool_sizes`] compares the lines across
+/// pool sizes.
+#[test]
+fn sharded_scenarios_print_their_results() {
+    println!("{MARK}pool workers {}", CorePool::global().workers());
+    let only = std::env::var(SCENARIO).ok();
+    for (name, scenario) in SCENARIOS {
+        if only.as_deref().is_none_or(|only| only == name) {
+            scenario();
+        }
+    }
+}
+
+/// Re-runs this test binary's [`CHILD`] on `scenario` with `workers`
+/// resident pool workers and returns its result lines.
+fn child_results(scenario: &str, workers: usize) -> Vec<String> {
     let out = Command::new(std::env::current_exe().expect("test binary path"))
         .args(["--exact", CHILD, "--nocapture"])
         .env("HIGRAPH_POOL_THREADS", workers.to_string())
+        .env(SCENARIO, scenario)
         .output()
         .expect("re-run the test binary");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
-        "child at {workers} workers failed:\n{stdout}\n{}",
+        "{scenario} child at {workers} workers failed:\n{stdout}\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let mut lines = stdout.lines().filter_map(|line| {
@@ -151,28 +179,58 @@ fn child_results(workers: usize) -> Vec<String> {
     let results: Vec<String> = lines.collect();
     assert!(
         !results.is_empty(),
-        "the child printed no results:\n{stdout}"
+        "the {scenario} child printed no results:\n{stdout}"
     );
     results
 }
 
-#[test]
-fn sharded_run_is_bit_identical_across_worker_threads() {
-    // The pool size is fixed per process at first use, so each size
-    // gets its own process. With no workers every drain runs on the
-    // calling thread; with 4, each lane of a P = 4 phase (the link and
-    // four chips) can run on its own thread.
-    let serial = child_results(0);
+/// Runs `scenario` in a child process at 0, 1 and 4 pool workers and
+/// asserts that every child prints the same results. The pool size is
+/// fixed per process at first use, so each size gets its own process.
+/// With no workers every drain runs on the calling thread; with 4, each
+/// lane of a P = 4 phase (the link and four chips) can run on its own
+/// thread.
+fn assert_identical_across_pool_sizes(scenario: &str) {
+    let serial = child_results(scenario, 0);
     for workers in [1usize, 4] {
-        let parallel = child_results(workers);
-        assert_eq!(parallel.len(), serial.len(), "{workers} workers");
+        let parallel = child_results(scenario, workers);
+        assert_eq!(
+            parallel.len(),
+            serial.len(),
+            "{scenario}: {workers} workers"
+        );
         for (got, want) in parallel.iter().zip(&serial) {
             assert!(
                 got == want,
-                "{workers} workers diverged from 0:\n{got}\n{want}"
+                "{scenario}: {workers} workers diverged from 0:\n{got}\n{want}"
             );
         }
     }
+}
+
+#[test]
+fn sharded_run_is_bit_identical_across_worker_threads() {
+    assert_identical_across_pool_sizes("sssp");
+}
+
+#[test]
+fn parallel_drain_is_bit_identical_under_modeled_memory() {
+    assert_identical_across_pool_sizes("modeled memory");
+}
+
+#[test]
+fn fault_plan_run_is_bit_identical_across_worker_threads() {
+    assert_identical_across_pool_sizes("fault plan");
+}
+
+#[test]
+fn parallel_drain_reports_stalls_like_serial() {
+    assert_identical_across_pool_sizes("stall");
+}
+
+#[test]
+fn parked_and_resumed_run_is_bit_identical_across_worker_threads() {
+    assert_identical_across_pool_sizes("park and resume");
 }
 
 #[test]
