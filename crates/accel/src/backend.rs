@@ -7,11 +7,10 @@
 //! the clock edge comes from its [`ClockedComponent`] implementation,
 //! driven by the shared `higraph_sim::Scheduler`.
 
-use crate::arena::{EdgeArena, PairArena, INITIAL_CAPACITY};
 use crate::edge_access::{BankRead, EdgeAccess};
 use crate::metrics::Metrics;
 use crate::netfactory::{AnyNetwork, NetworkFactory};
-use crate::packets::{EdgeRef, ImmRef};
+use crate::packets::{ImmPacket, PendingEdge};
 use higraph_graph::{Csr, EdgeId};
 use higraph_sim::{ClockedComponent, Fifo, Network, NetworkStats};
 use higraph_vcpm::VertexProgram;
@@ -23,17 +22,10 @@ pub(crate) struct BackEnd<P> {
     /// Engines push `{Off, Len}` chunks into (hence `pub(crate)`: the
     /// engine hands it to `FrontEnd::step` each cycle).
     pub(crate) edge_access: EdgeAccess<P>,
-    /// Per-channel pending-edge queues in front of the ePEs. Hold
-    /// 4-byte [`EdgeRef`] handles; the `(dst, weight, u_prop)` payloads
-    /// stay put in `edges`.
-    epe_q: Vec<Fifo<EdgeRef>>,
-    /// The ePE → vPE dataflow propagation fabric. Moves 8-byte
-    /// [`ImmRef`] handles into the `imms` arena.
-    dataflow: AnyNetwork<ImmRef>,
-    /// SoA store for pending-edge payloads (see `crate::arena`).
-    edges: EdgeArena<P>,
-    /// SoA store for `(v, imm)` update payloads.
-    imms: PairArena<P>,
+    /// Per-channel pending-edge queues in front of the ePEs.
+    epe_q: Vec<Fifo<PendingEdge<P>>>,
+    /// The ePE → vPE dataflow propagation fabric.
+    dataflow: AnyNetwork<ImmPacket<P>>,
     /// Per-bank free-slot scratch for stage 3, reused every cycle.
     epe_space: Vec<bool>,
     /// Bank-read staging scratch for stage 3, reused every cycle.
@@ -50,8 +42,6 @@ impl<P: Copy + 'static> BackEnd<P> {
             edge_access: factory.edge_access(),
             epe_q: (0..m).map(|_| Fifo::new(config.staging_capacity)).collect(),
             dataflow: factory.dataflow_fabric(),
-            edges: EdgeArena::with_capacity(INITIAL_CAPACITY),
-            imms: PairArena::with_capacity(INITIAL_CAPACITY),
             epe_space: vec![false; m],
             bank_reads: Vec::new(),
         }
@@ -80,11 +70,8 @@ impl<P: Copy + 'static> BackEnd<P> {
             match self.dataflow.pop(c) {
                 Some(pkt) => {
                     debug_assert_eq!(pkt.dest as usize, c);
-                    let v = self.imms.key(pkt.handle);
-                    let imm = self.imms.payload(pkt.handle);
-                    self.imms.free(pkt.handle);
-                    let t = &mut t_props[(v - t_base) as usize];
-                    *t = program.reduce(*t, imm);
+                    let t = &mut t_props[(pkt.v - t_base) as usize];
+                    *t = program.reduce(*t, pkt.imm);
                 }
                 None => {
                     metrics.vpe_starvation_cycles += 1;
@@ -93,24 +80,19 @@ impl<P: Copy + 'static> BackEnd<P> {
             }
         }
 
-        // (2) ePEs: Process_Edge and inject into the dataflow fabric
-        // (alloc-then-free-on-reject, see `crate::arena`).
+        // (2) ePEs: Process_Edge and inject into the dataflow fabric; a
+        // rejected edge stays at the head of its queue.
         for c in 0..m {
-            let Some(&EdgeRef(edge)) = self.epe_q[c].peek() else {
+            let Some(&edge) = self.epe_q[c].peek() else {
                 continue;
             };
-            let dst = self.edges.dst(edge);
-            let imm = program.process_edge(self.edges.u_prop(edge), self.edges.weight(edge));
-            let handle = self.imms.alloc(dst, imm);
-            let pkt = ImmRef {
-                handle,
-                dest: dst % m as u32,
+            let pkt = ImmPacket {
+                v: edge.dst,
+                dest: edge.dst % m as u32,
+                imm: program.process_edge(edge.u_prop, edge.weight),
             };
             if self.dataflow.push(c, pkt).is_ok() {
                 self.epe_q[c].pop();
-                self.edges.free(edge);
-            } else {
-                self.imms.free(handle);
             }
         }
 
@@ -122,10 +104,13 @@ impl<P: Copy + 'static> BackEnd<P> {
             .issue_reads_into(&self.epe_space, &mut self.bank_reads);
         for read in &self.bank_reads {
             let e = graph.edge(EdgeId(read.edge_index));
-            let handle = self.edges.alloc(e.dst.0, e.weight, read.payload);
-            if let Err(rejected) = self.epe_q[read.bank].push(EdgeRef(handle)) {
+            let pending = PendingEdge {
+                dst: e.dst.0,
+                weight: e.weight,
+                u_prop: read.payload,
+            };
+            if self.epe_q[read.bank].push(pending).is_err() {
                 debug_assert!(false, "edge unit overran an ePE queue");
-                self.edges.free(rejected.0);
             }
             metrics.edges_processed += 1;
         }
@@ -194,8 +179,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for BackEnd<P> {
         self.edge_access.save(w);
         self.epe_q[..].save(w);
         self.dataflow.save(w);
-        self.edges.save(w);
-        self.imms.save(w);
     }
 
     fn load(&mut self, r: &mut higraph_sim::SnapReader<'_>) -> Result<(), higraph_sim::SnapError> {
@@ -210,8 +193,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for BackEnd<P> {
         self.edge_access.load(r)?;
         self.epe_q[..].load(r)?;
         self.dataflow.load(r)?;
-        self.edges.load(r)?;
-        self.imms.load(r)?;
         // Per-cycle scratch is not state.
         self.bank_reads.clear();
         Ok(())

@@ -8,12 +8,11 @@
 //! [`ClockedComponent`] implementation, driven by the shared
 //! `higraph_sim::Scheduler`.
 
-use crate::arena::{PairArena, INITIAL_CAPACITY};
 use crate::cache::{MemorySubsystem, QueryState};
 use crate::edge_access::EdgeAccess;
 use crate::metrics::Metrics;
 use crate::netfactory::{AnyNetwork, NetworkFactory};
-use crate::packets::VertexRef;
+use crate::packets::VertexPacket;
 use higraph_graph::{Csr, VertexId};
 use higraph_mdp::{EdgeRange, ReplayEngine};
 use higraph_sim::{BankPorts, ClockedComponent, Fifo, Network, NetworkStats, OddEvenArbiter};
@@ -27,15 +26,10 @@ pub(crate) struct FrontEnd<P> {
     /// Per-part ActiveVertex queues, filled round-robin in activation
     /// order at the start of each scatter phase.
     av_parts: Vec<VecDeque<(u32, P)>>,
-    /// The vertex-routing fabric in front of the Offset Array. Moves
-    /// 8-byte [`VertexRef`] handles; the `(u, prop)` payloads stay put
-    /// in `vertices` until the Offset Array stage consumes them.
-    offset_net: AnyNetwork<VertexRef>,
+    /// The vertex-routing fabric in front of the Offset Array.
+    offset_net: AnyNetwork<VertexPacket<P>>,
     /// Per-channel staging queues between the fabric and the Offset banks.
-    offset_q: Vec<Fifo<VertexRef>>,
-    /// SoA store for the `(u, prop)` payloads of in-flight vertex
-    /// packets (see `crate::arena` for the lifetime conventions).
-    vertices: PairArena<P>,
+    offset_q: Vec<Fifo<VertexPacket<P>>>,
     /// Per-channel Replay Engines turning `{Off, nOff}` into chunks.
     replay: Vec<ReplayEngine<P>>,
     /// One-entry skid buffer per channel between replay and edge access.
@@ -67,7 +61,6 @@ impl<P: Copy + 'static> FrontEnd<P> {
             offset_q: (0..n).map(|_| Fifo::new(config.staging_capacity)).collect(),
             replay: (0..n).map(|_| ReplayEngine::new(m)).collect(),
             replay_out: vec![None; n],
-            vertices: PairArena::with_capacity(INITIAL_CAPACITY),
             odd_even: OddEvenArbiter::new(),
             offset_rr: 0,
             mdp_offset: config.offset_network == crate::config::NetworkKind::Mdp,
@@ -163,7 +156,7 @@ impl<P: Copy + 'static> FrontEnd<P> {
             if !self.replay[c].is_idle() {
                 continue;
             }
-            let u = self.vertices.key(head.handle);
+            let u = head.u;
             // The offset pair must be on chip before the bank claim is
             // even attempted (a memory stall, not an arbitration
             // conflict — the grant chain is unaffected).
@@ -174,10 +167,8 @@ impl<P: Copy + 'static> FrontEnd<P> {
             if claim(u, &mut self.offset_banks) {
                 // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
                 let pkt = self.offset_q[c].pop().expect("peeked head");
-                let prop = self.vertices.payload(pkt.handle);
-                self.vertices.free(pkt.handle);
                 let (off, n_off) = graph.offset_pair(VertexId(u));
-                let loaded = self.replay[c].load(off, n_off, prop);
+                let loaded = self.replay[c].load(off, n_off, pkt.prop);
                 debug_assert!(loaded, "replay engine checked idle");
             } else {
                 metrics.offset_conflicts += 1;
@@ -200,24 +191,26 @@ impl<P: Copy + 'static> FrontEnd<P> {
             }
         }
 
-        // (6) ActiveVertex fetch: one vertex per part per cycle. The
-        // payload enters the arena only if the fabric takes the ref
-        // (alloc-then-free-on-reject, see `crate::arena`).
+        // (6) ActiveVertex fetch: one vertex per part per cycle; a
+        // rejected vertex stays at the head of its part.
         for c in 0..n {
-            let Some(&(u, prop)) = self.av_parts[c].front() else {
+            let Some(pkt) = self.head_packet(c) else {
                 continue;
-            };
-            let handle = self.vertices.alloc(u, prop);
-            let pkt = VertexRef {
-                handle,
-                dest: (u % n as u32),
             };
             if self.offset_net.push(c, pkt).is_ok() {
                 self.av_parts[c].pop_front();
-            } else {
-                self.vertices.free(handle);
             }
         }
+    }
+
+    /// The vertex packet part `c` offers the offset-routing fabric next.
+    fn head_packet(&self, c: usize) -> Option<VertexPacket<P>> {
+        let n = self.av_parts.len() as u32;
+        self.av_parts[c].front().map(|&(u, prop)| VertexPacket {
+            u,
+            dest: u % n,
+            prop,
+        })
     }
 
     /// Cumulative statistics of the offset-routing fabric.
@@ -239,14 +232,8 @@ impl<P: Copy + 'static> FrontEnd<P> {
         // one the fabric keeps rejecting is deterministic bookkeeping
         // (committed in bulk by `commit_idle`).
         for c in 0..n {
-            if let Some(&(u, _)) = self.av_parts[c].front() {
-                // Capacity probe only — nothing is allocated; the
-                // fabrics never dereference a handle.
-                let probe = VertexRef {
-                    handle: u32::MAX,
-                    dest: (u % n as u32),
-                };
-                if self.offset_net.can_accept(c, &probe) {
+            if let Some(pkt) = self.head_packet(c) {
+                if self.offset_net.can_accept(c, &pkt) {
                     return true;
                 }
             }
@@ -283,8 +270,7 @@ impl<P: Copy + 'static> FrontEnd<P> {
             // engine is free and its offset pair is on chip.
             if let Some(head) = self.offset_q[c].peek() {
                 if self.replay[c].is_idle()
-                    && mem.offset_query_state(c, self.vertices.key(head.handle))
-                        != QueryState::Blocked
+                    && mem.offset_query_state(c, head.u) != QueryState::Blocked
                 {
                     return true;
                 }
@@ -370,7 +356,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for FrontEnd<P> {
         self.av_parts[..].save(w);
         self.offset_net.save(w);
         self.offset_q[..].save(w);
-        self.vertices.save(w);
         self.replay[..].save(w);
         self.replay_out.save(w);
         self.odd_even.save(w);
@@ -398,7 +383,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for FrontEnd<P> {
         self.av_parts[..].load(r)?;
         self.offset_net.load(r)?;
         self.offset_q[..].load(r)?;
-        self.vertices.load(r)?;
         self.replay[..].load(r)?;
         self.replay_out.load(r)?;
         self.odd_even.load(r)?;

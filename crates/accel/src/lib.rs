@@ -57,7 +57,6 @@ mod apply;
 mod backend;
 mod frontend;
 
-pub mod arena;
 pub mod cache;
 pub mod config;
 pub mod edge_access;

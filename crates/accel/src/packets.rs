@@ -1,84 +1,100 @@
 //! Packet types flowing through the accelerator's fabrics.
 //!
-//! The hot path moves *ref* types ([`VertexRef`], [`ImmRef`],
-//! [`EdgeRef`]): 8-byte handles into the per-chip SoA arenas of
-//! [`crate::arena`], carrying only what the fabrics inspect in flight
-//! (the destination). Each handle's doc names the modeled payload the
-//! arena holds for it.
+//! Each packet carries its payload by value, as the paper's datapaths
+//! do (Fig. 6): the fabrics inspect only `dest` in flight, and the
+//! consuming stage reads the payload from the packet it pops.
 
 use higraph_sim::Packet;
 
-/// Handle to a vertex packet whose `(u, prop)` payload lives in the
-/// front-end's [`crate::arena::PairArena`]. This is what the
-/// offset-routing fabric and staging FIFOs move per hop.
+/// A `(u, prop)` vertex packet. This is what the offset-routing fabric
+/// and the staging FIFOs in front of the Offset Array move per hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VertexRef {
-    /// Arena handle of the `(u, prop)` pair.
-    pub handle: u32,
-    /// `u % n` — the only field inspected in flight.
+pub struct VertexPacket<P> {
+    /// The active vertex.
+    pub u: u32,
+    /// `u % n` — the Offset Array channel the packet routes to.
     pub dest: u32,
+    /// The vertex's property, handed to the Replay Engine.
+    pub prop: P,
 }
 
-impl Packet for VertexRef {
+impl<P> Packet for VertexPacket<P> {
     fn dest(&self) -> usize {
         self.dest as usize
     }
 }
 
-/// Handle to an update packet whose `(v, imm)` payload lives in the
-/// back-end's [`crate::arena::PairArena`]. This is what the dataflow
-/// propagation fabric moves per hop.
+/// A `(v, imm)` update packet. This is what the dataflow propagation
+/// fabric moves from the ePEs to the vPEs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ImmRef {
-    /// Arena handle of the `(v, imm)` pair.
-    pub handle: u32,
-    /// `v % m` — the only field inspected in flight.
+pub struct ImmPacket<P> {
+    /// The destination vertex the update reduces into.
+    pub v: u32,
+    /// `v % m` — the vPE channel the packet routes to.
     pub dest: u32,
+    /// The `Process_Edge` result.
+    pub imm: P,
 }
 
-impl Packet for ImmRef {
+impl<P> Packet for ImmPacket<P> {
     fn dest(&self) -> usize {
         self.dest as usize
     }
 }
 
-/// Handle to a pending edge whose `(dst, weight, u_prop)` payload lives
-/// in the back-end's [`crate::arena::EdgeArena`]. This is what the ePE
-/// queues hold.
+/// A `(dst, weight, u_prop)` pending edge. This is what the ePE queues
+/// hold between the Edge Array banks and `Process_Edge`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EdgeRef(pub u32);
+pub struct PendingEdge<P> {
+    /// The edge's destination vertex.
+    pub dst: u32,
+    /// The edge's weight.
+    pub weight: u32,
+    /// The source vertex's property.
+    pub u_prop: P,
+}
 
-impl higraph_sim::SnapValue for VertexRef {
+impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for VertexPacket<P> {
     fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.handle);
+        w.u32(self.u);
         w.u32(self.dest);
+        self.prop.save_value(w);
     }
     fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(VertexRef {
-            handle: r.u32()?,
+        Ok(VertexPacket {
+            u: r.u32()?,
             dest: r.u32()?,
+            prop: P::load_value(r)?,
         })
     }
 }
 
-impl higraph_sim::SnapValue for ImmRef {
+impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for ImmPacket<P> {
     fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.handle);
+        w.u32(self.v);
         w.u32(self.dest);
+        self.imm.save_value(w);
     }
     fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(ImmRef {
-            handle: r.u32()?,
+        Ok(ImmPacket {
+            v: r.u32()?,
             dest: r.u32()?,
+            imm: P::load_value(r)?,
         })
     }
 }
 
-impl higraph_sim::SnapValue for EdgeRef {
+impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for PendingEdge<P> {
     fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.0);
+        w.u32(self.dst);
+        w.u32(self.weight);
+        self.u_prop.save_value(w);
     }
     fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(EdgeRef(r.u32()?))
+        Ok(PendingEdge {
+            dst: r.u32()?,
+            weight: r.u32()?,
+            u_prop: P::load_value(r)?,
+        })
     }
 }

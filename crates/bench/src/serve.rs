@@ -871,11 +871,11 @@ fn parse_spec(id: String, fields: &BTreeMap<String, JsonValue>) -> Result<JobSpe
         }
         config.memory = Some(MemoryConfig::hbm2().with_cache_kb(kb as usize));
     }
-    let divisor = as_count_field(fields, "divisor", 16)? as u32;
+    let divisor = as_u32_field(fields, "divisor", 16)?;
     if divisor == 0 || !divisor.is_power_of_two() {
         return Err(format!("divisor {divisor} must be a power of two >= 1"));
     }
-    let pr_iters = as_count_field(fields, "pr_iters", 3)? as u32;
+    let pr_iters = as_u32_field(fields, "pr_iters", 3)?;
     let chips = as_count_field(fields, "chips", 1)? as usize;
     let budget_cycles = match fields.get("budget_cycles") {
         None => None,
@@ -941,6 +941,15 @@ fn as_count_field(
         None => Ok(default),
         Some(v) => as_count(v, key),
     }
+}
+
+fn as_u32_field(
+    fields: &BTreeMap<String, JsonValue>,
+    key: &str,
+    default: u32,
+) -> Result<u32, String> {
+    let n = as_count_field(fields, key, u64::from(default))?;
+    u32::try_from(n).map_err(|_| format!("{key} {n} must be at most {}", u32::MAX))
 }
 
 fn opt_i64(fields: &BTreeMap<String, JsonValue>, key: &str, default: i64) -> Result<i64, String> {

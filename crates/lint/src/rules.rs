@@ -71,7 +71,6 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "backend.rs",
     "apply.rs",
     "fifo.rs",
-    "arena.rs",
     "network.rs",
     "range.rs",
     "naive.rs",

@@ -21,8 +21,6 @@
 //!   hierarchy: HBM-style channels with per-bank row buffers and
 //!   tCAS-class timing,
 //! * [`stats`] — shared counters,
-//! * [`probe::Instrumented`] — an occupancy-tracing wrapper for any
-//!   fabric (buffer-sizing studies),
 //! * [`clock::ClockedComponent`] / [`clock::Scheduler`] — the cycle
 //!   protocol as a trait plus the driver that clocks any set of
 //!   components,
@@ -52,7 +50,6 @@ pub mod fifo;
 pub mod link;
 pub mod memory;
 pub mod network;
-pub mod probe;
 pub mod selection;
 pub mod snapshot;
 pub mod stats;
@@ -66,7 +63,6 @@ pub use fifo::Fifo;
 pub use link::InterChipLink;
 pub use memory::BankPorts;
 pub use network::{Network, Packet};
-pub use probe::Instrumented;
 pub use selection::SelectionCounts;
 pub use snapshot::{content_checksum, SnapError, SnapReader, SnapValue, SnapWriter, Snapshot};
 pub use stats::NetworkStats;

@@ -41,8 +41,10 @@ use std::fmt;
 /// Current snapshot wire-format version. Bump on any layout change;
 /// loads reject other versions with a precise error. Version 2 dropped
 /// the sharded executor's chip event wheel from the `MCHP` layout;
-/// version 3 dropped the DRAM event wheel from the `DSYS` layout.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// version 3 dropped the DRAM event wheel from the `DSYS` layout;
+/// version 4 dropped the packet arenas from the `FRNT` and `BACK`
+/// layouts, and in-flight packets now carry their payloads.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";
@@ -395,7 +397,7 @@ impl<'a> SnapReader<'a> {
 }
 
 /// A plain-old-data value with an exact binary encoding — the element
-/// type of serialized queues, arenas, and in-flight buffers.
+/// type of serialized queues, in-flight packets and buffers.
 pub trait SnapValue: Copy {
     /// Appends this value's encoding to the writer.
     fn save_value(&self, w: &mut SnapWriter);

@@ -42,8 +42,7 @@
 use higraph::mdp::{MdpNetwork, Topology};
 use higraph::prelude::*;
 use higraph::sim::{
-    ClockedComponent, DramSystem, DramTiming, MemoryChannel, MemoryStats, Network, Packet,
-    Scheduler,
+    ClockedComponent, DramSystem, DramTiming, MemoryStats, Network, Packet, Scheduler,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -507,8 +506,10 @@ proptest! {
 /// cycles than the wrapped DRAM channel really has. The channel's own
 /// `skip` debug-asserts the window, so the corruption is caught instead
 /// of silently shifting timing.
-struct OverOptimistic(MemoryChannel);
+#[cfg(debug_assertions)]
+struct OverOptimistic(higraph::sim::MemoryChannel);
 
+#[cfg(debug_assertions)]
 impl ClockedComponent for OverOptimistic {
     fn tick(&mut self) {
         self.0.tick();
@@ -563,7 +564,11 @@ fn serial_and_one_chip_checkpoints_share_one_format() {
 #[cfg(debug_assertions)]
 #[should_panic(expected = "overran the channel's activity window")]
 fn over_optimistic_next_activity_is_caught_in_debug_builds() {
-    let mut lying = OverOptimistic(MemoryChannel::new(2, 4, DramTiming::default()));
+    let mut lying = OverOptimistic(higraph::sim::MemoryChannel::new(
+        2,
+        4,
+        DramTiming::default(),
+    ));
     lying.0.try_request(0, 0, 0);
     lying.tick(); // service in flight: the true window is miss_cycles - 1
     let mut scheduler = Scheduler::new()

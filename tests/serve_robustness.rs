@@ -220,6 +220,14 @@ fn oversized_chip_count_is_refused_at_submit() {
     }
 }
 
+/// A count above `u32::MAX` must not wrap: divisor 2^32 + 8 would run
+/// (and memo-hit) as divisor 8, and 2^32 PageRank iterations as none.
+#[test]
+fn out_of_range_divisor_and_pr_iters_are_refused_at_submit() {
+    assert_refused_at_submit("divisor", (1 << 32) + 8);
+    assert_refused_at_submit("pr_iters", 1 << 32);
+}
+
 /// The acceptance scenario in one session: a panicking job is isolated
 /// to a `failed` event, a deadline-exceeding job parks on a checkpoint
 /// (and later resumes to completion), a running job is cancelled
