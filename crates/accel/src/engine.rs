@@ -7,9 +7,10 @@
 //! Sec. 5.3 large-graph schedule: destination-interval slices processed
 //! back to back, with single- or double-buffered slice replacement.
 //!
-//! An [`Engine`] is a one-chip [`ShardedEngine`]: serial, sliced and
-//! sharded runs share one run driver and one iteration body
-//! (`crate::sharded`), so no mode can drift from another.
+//! An [`Engine`] is a one-chip [`ShardedEngine`]: serial, sliced,
+//! sharded and controlled runs share one run loop and one iteration body
+//! (`crate::sharded`) and return one [`RunResult`], so no mode can drift
+//! from another.
 //!
 //! # Pipeline
 //!
@@ -34,11 +35,11 @@ use crate::faults::FaultRuntime;
 use crate::frontend::FrontEnd;
 use crate::metrics::Metrics;
 use crate::netfactory::NetworkFactory;
-use crate::sharded::{ShardConfig, ShardedEngine, ShardedOutcome, ShardedRunResult};
+use crate::sharded::{ShardConfig, ShardedEngine};
 use higraph_graph::Csr;
 use higraph_sim::{
-    ClockedComponent, DrainError, DrainStep, RunControl, Scheduler, SnapError, SnapReader,
-    SnapValue, SnapWriter, Snapshot, StallError,
+    ClockedComponent, DrainError, DrainStep, NetworkStats, RunControl, Scheduler, SnapError,
+    SnapReader, SnapValue, SnapWriter, Snapshot, StallError,
 };
 use higraph_vcpm::VertexProgram;
 use std::fmt;
@@ -88,33 +89,61 @@ impl std::error::Error for StallDiagnostic {
     }
 }
 
-/// Result of running a program on the accelerator.
-#[derive(Debug, Clone)]
+/// Result of a run in any execution mode: whole graph ([`Engine::run`]),
+/// sliced ([`Engine::run_sliced`]), sharded ([`ShardedEngine::run`]) or
+/// controlled ([`RunOutcome::Done`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunResult<P> {
-    /// Final Property Array (bit-identical to the reference executor).
+    /// Final Property Array — bit-identical to the reference executor's
+    /// in every mode.
     pub properties: Vec<P>,
-    /// Performance metrics.
+    /// Aggregate metrics on the multi-chip critical path: scatter cycles
+    /// are the longest drain per phase (over the chips *and* the link),
+    /// apply cycles the slowest chip's owned-interval scan per iteration.
+    /// Fabric stats and counters are merged across chips; on one chip
+    /// they are that chip's own.
     pub metrics: Metrics,
-}
-
-/// Result of a sliced run ([`Engine::run_sliced`]).
-#[derive(Debug, Clone)]
-pub struct SlicedRunResult<P> {
-    /// Final Property Array — identical to an unsliced run.
-    pub properties: Vec<P>,
-    /// Compute metrics (scatter + apply cycles, as in [`RunResult`]).
-    pub metrics: Metrics,
-    /// Number of slices processed per iteration.
-    pub num_slices: usize,
-    /// Total slice-replacement cycles if loads run sequentially with
-    /// compute (single-buffered).
+    /// Per-chip metrics, indexed by chip number.
+    pub chips: Vec<Metrics>,
+    /// Update packets that crossed the inter-chip link (0 on one chip).
+    pub cross_chip_packets: u64,
+    /// Link fabric counters (accepted/rejected/delivered/cycles).
+    pub link: NetworkStats,
+    /// Slice-replacement cycles if loads run sequentially with compute
+    /// (single-buffered); 0 unless the run was sliced.
     pub swap_cycles_sequential: u64,
     /// Slice-replacement cycles left exposed under double buffering
-    /// (Sec. 5.3: replacement overlaps the previous slice's compute).
+    /// (Sec. 5.3: replacement overlaps the previous slice's compute); 0
+    /// unless the run was sliced.
     pub swap_cycles_overlapped: u64,
 }
 
-impl<P> SlicedRunResult<P> {
+impl<P> RunResult<P> {
+    /// Number of chips that executed this run.
+    pub fn num_chips(&self) -> usize {
+        self.chips.len()
+    }
+
+    /// Scatter cycles of the slowest chip — the compute-only critical
+    /// path, before the link's drain is folded in.
+    pub fn max_chip_scatter_cycles(&self) -> u64 {
+        self.chips
+            .iter()
+            .map(|m| m.scatter_cycles)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Aggregate cycles per processed edge — the scale-out efficiency
+    /// figure the multi-chip sweep reports.
+    pub fn cycles_per_edge(&self) -> f64 {
+        if self.metrics.edges_processed == 0 {
+            0.0
+        } else {
+            self.metrics.cycles as f64 / self.metrics.edges_processed as f64
+        }
+    }
+
     /// End-to-end cycles with single-buffered slice replacement.
     pub fn total_cycles_single_buffered(&self) -> u64 {
         self.metrics.cycles + self.swap_cycles_sequential
@@ -302,20 +331,34 @@ pub struct Checkpoint {
     pub iterations: u32,
 }
 
-/// Outcome of a controlled run ([`Engine::run_controlled`]).
+/// How a controlled run ended ([`Engine::run_controlled`],
+/// [`ShardedEngine::run_controlled`] and their resumes). `T` is what a
+/// finished run carries: the engines' [`RunResult`], or a summary of it
+/// ([`RunOutcome::map`]).
 // Done carries the full result inline so matching on an outcome reads
 // exactly like consuming `Engine::run`; outcomes are matched once and
 // destructured, never stored in bulk, so the size skew is harmless.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum RunOutcome<P> {
+pub enum RunOutcome<T> {
     /// Ran to completion — identical to what [`Engine::run`] returns.
-    Done(RunResult<P>),
+    Done(T),
     /// Parked at a committed boundary (explicit park request or an
     /// exhausted cycle budget) with a restorable checkpoint.
     Parked(Checkpoint),
     /// Cancelled mid-drain; partial work is discarded.
     Cancelled,
+}
+
+impl<T> RunOutcome<T> {
+    /// Maps a finished run's result; parks and cancels pass through.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> RunOutcome<U> {
+        match self {
+            RunOutcome::Done(done) => RunOutcome::Done(f(done)),
+            RunOutcome::Parked(checkpoint) => RunOutcome::Parked(checkpoint),
+            RunOutcome::Cancelled => RunOutcome::Cancelled,
+        }
+    }
 }
 
 /// Why a controlled run or resume failed.
@@ -402,7 +445,8 @@ impl<'g> Engine<'g> {
         self.0.set_fast_forward(on);
     }
 
-    /// Executes `program` to completion and returns properties + metrics.
+    /// Executes `program` to completion and returns its [`RunResult`]: one
+    /// chip, no link traffic, no slice swaps.
     ///
     /// # Errors
     ///
@@ -413,7 +457,7 @@ impl<'g> Engine<'g> {
         &mut self,
         program: &Prog,
     ) -> Result<RunResult<Prog::Prop>, StallDiagnostic> {
-        self.0.run(program).map(serial_result)
+        self.0.run(program)
     }
 
     /// Executes `program` under cooperative run control: `control` can
@@ -430,12 +474,12 @@ impl<'g> Engine<'g> {
         &mut self,
         program: &Prog,
         control: &RunControl,
-    ) -> Result<RunOutcome<Prog::Prop>, StallDiagnostic>
+    ) -> Result<RunOutcome<RunResult<Prog::Prop>>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
-        self.0.run_controlled(program, control).map(serial_outcome)
+        self.0.run_controlled(program, control)
     }
 
     /// Continues a parked run from `checkpoint` under `control`. The
@@ -455,14 +499,12 @@ impl<'g> Engine<'g> {
         program: &Prog,
         control: &RunControl,
         checkpoint: &[u8],
-    ) -> Result<RunOutcome<Prog::Prop>, ControlError>
+    ) -> Result<RunOutcome<RunResult<Prog::Prop>>, ControlError>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
-        self.0
-            .resume_controlled(program, control, checkpoint)
-            .map(serial_outcome)
+        self.0.resume_controlled(program, control, checkpoint)
     }
 
     /// Executes `program` with the Sec. 5.3 large-graph schedule: the graph
@@ -487,26 +529,9 @@ impl<'g> Engine<'g> {
         program: &Prog,
         num_slices: usize,
         memory_bytes_per_cycle: u64,
-    ) -> Result<SlicedRunResult<Prog::Prop>, StallDiagnostic> {
+    ) -> Result<RunResult<Prog::Prop>, StallDiagnostic> {
         self.0
             .run_sliced(program, num_slices, memory_bytes_per_cycle)
-    }
-}
-
-/// A one-chip run's result, as the serial engine reports it.
-fn serial_result<P>(r: ShardedRunResult<P>) -> RunResult<P> {
-    RunResult {
-        properties: r.properties,
-        metrics: r.metrics,
-    }
-}
-
-/// A one-chip controlled run's outcome, as the serial engine reports it.
-fn serial_outcome<P>(outcome: ShardedOutcome<P>) -> RunOutcome<P> {
-    match outcome {
-        ShardedOutcome::Done(r) => RunOutcome::Done(serial_result(r)),
-        ShardedOutcome::Parked(checkpoint) => RunOutcome::Parked(checkpoint),
-        ShardedOutcome::Cancelled => RunOutcome::Cancelled,
     }
 }
 
@@ -824,6 +849,38 @@ mod tests {
     }
 
     #[test]
+    fn one_slice_run_is_the_serial_run_plus_its_load_cost() {
+        use crate::config::MemoryConfig;
+        let g = power_law(400, 3600, 2.0, 31, 13);
+        let src = higraph_graph::stats::hub_vertex(&g).expect("non-empty").0;
+        let prog = Sssp::from_source(src);
+        for (memory, cycles) in [
+            (None, 819),
+            (Some(MemoryConfig::hbm2().with_cache_kb(16)), 4990),
+        ] {
+            let mut cfg = AcceleratorConfig::higraph();
+            cfg.memory = memory;
+            let mut engine = Engine::new(cfg, &g);
+            let whole = engine.run(&prog).expect("no stall");
+            let sliced = engine.run_sliced(&prog, 1, 64).expect("no stall");
+            assert_eq!(whole.metrics.cycles, cycles);
+            // One slice is loaded once per iteration, always exposed.
+            assert!(sliced.swap_cycles_sequential > 0);
+            assert_eq!(sliced.swap_cycles_overlapped, sliced.swap_cycles_sequential);
+            assert_eq!(
+                sliced.total_cycles_single_buffered(),
+                cycles + sliced.swap_cycles_sequential
+            );
+            let unloaded = RunResult {
+                swap_cycles_sequential: 0,
+                swap_cycles_overlapped: 0,
+                ..sliced
+            };
+            assert_eq!(unloaded, whole, "memory {memory:?}");
+        }
+    }
+
+    #[test]
     fn double_buffering_hides_swap_time() {
         let g = power_law(600, 9000, 2.0, 31, 17);
         let mut engine = Engine::new(AcceleratorConfig::higraph(), &g);
@@ -962,6 +1019,38 @@ mod tests {
         assert!(Engine::new(AcceleratorConfig::higraph(), &g)
             .resume_controlled(&prog, &control, &bad)
             .is_err());
+    }
+
+    #[test]
+    fn resealed_checkpoint_with_a_huge_length_is_rejected() {
+        // A payload edited and then re-sealed passes the checksum, so
+        // the loads themselves must refuse a stored length no payload
+        // can hold, instead of allocating it.
+        let g = power_law(300, 2700, 2.0, 31, 73);
+        let prog = Sssp::from_source(higraph_graph::stats::hub_vertex(&g).expect("non-empty").0);
+        let control = RunControl::new();
+        control.set_budget_cycles(Some(1));
+        let mut engine = Engine::new(AcceleratorConfig::higraph(), &g);
+        let RunOutcome::Parked(parked) = engine.run_controlled(&prog, &control).expect("no stall")
+        else {
+            panic!("the run must park");
+        };
+        let mut bytes = parked.bytes;
+        let at = bytes
+            .windows(4)
+            .position(|w| w == b"DEQE")
+            .expect("a parked pipeline holds queues")
+            + 4;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let checksum = higraph_sim::content_checksum(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        control.set_budget_cycles(None);
+        match engine.resume_controlled(&prog, &control, &bytes) {
+            Err(ControlError::Snapshot(e)) => {
+                assert!(e.context.contains("payload bytes left"), "{e}")
+            }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
     }
 
     #[test]

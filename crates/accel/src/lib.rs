@@ -71,14 +71,10 @@ pub mod space;
 
 pub use cache::MemorySubsystem;
 pub use config::{AcceleratorConfig, FaultPlan, MemoryConfig, NetworkKind, OptLevel};
-pub use engine::{
-    Checkpoint, ControlError, Engine, RunOutcome, RunResult, SlicedRunResult, StallDiagnostic,
-};
+pub use engine::{Checkpoint, ControlError, Engine, RunOutcome, RunResult, StallDiagnostic};
 pub use faults::{FaultEvent, FaultKind, FaultRuntime};
 pub use metrics::{MemoryMetrics, Metrics};
 pub use netfactory::{AnyNetwork, NetworkFactory};
-pub use runner::{
-    BatchError, BatchJob, BatchReport, BatchResult, BatchRunner, RunMode, ShardedTiming,
-};
-pub use sharded::{ShardConfig, ShardedEngine, ShardedOutcome, ShardedRunResult};
+pub use runner::{BatchError, BatchJob, BatchReport, BatchResult, BatchRunner, RunMode};
+pub use sharded::{ShardConfig, ShardedEngine};
 pub use space::{Axis, DesignPoint, DesignSpace, Genome};

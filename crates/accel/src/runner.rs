@@ -1,22 +1,25 @@
 //! Parallel batch execution of accelerator simulations.
 //!
-//! A single [`Engine::run`] models one accelerator on one workload; the
-//! paper's evaluation — and any serving deployment of the model — instead
-//! sweeps whole *batches* of (graph × program × config) points: the Fig. 8
-//! design comparison is a 4 × 6 × 3 sweep, Fig. 10 a 4 × 4 ablation grid,
-//! the buffer/radix studies more still. Every point is an independent
-//! deterministic simulation, so the batch is embarrassingly parallel.
+//! A single [`Engine::run`](crate::Engine::run) models one accelerator
+//! on one workload; the paper's evaluation — and any serving deployment
+//! of the model — instead sweeps whole *batches* of (graph × program ×
+//! config) points: the Fig. 8 design comparison is a 4 × 6 × 3 sweep,
+//! Fig. 10 a 4 × 4 ablation grid, the buffer/radix studies more still.
+//! Every point is an independent deterministic simulation, so the batch
+//! is embarrassingly parallel.
 //!
 //! [`BatchRunner`] executes such batches through the process-wide
 //! work-stealing [`CorePool`] and reports aggregate throughput.
 //! Parallelism changes *only* wall-clock time: each simulation is
 //! deterministic and seeded by its own inputs, so results are
 //! bit-identical to running the same jobs serially through
-//! [`Engine::run`] — `tests/batch_runner.rs` asserts this.
+//! [`Engine::run`](crate::Engine::run) — `tests/batch_runner.rs` asserts
+//! this.
 //!
 //! A job runs in one of the three [`RunMode`]s — whole graph, sliced
-//! ([`Engine::run_sliced`], Sec. 5.3) or sharded — and all three go
-//! through the one run driver of [`ShardedEngine`]. A job's drains
+//! ([`Engine::run_sliced`](crate::Engine::run_sliced), Sec. 5.3) or
+//! sharded — and all three go through the one run driver of
+//! [`ShardedEngine`] and return one [`RunResult`]. A job's drains
 //! compose with the batch: each scatter phase is a pool batch nested in
 //! the sweep's, so its drains take only workers the sweep leaves idle
 //! (`docs/performance.md`) and otherwise run on the job's own thread,
@@ -42,7 +45,7 @@
 //! ```
 
 use crate::config::AcceleratorConfig;
-use crate::engine::{Engine, StallDiagnostic};
+use crate::engine::{RunResult, StallDiagnostic};
 use crate::metrics::Metrics;
 use crate::sharded::{ShardConfig, ShardedEngine};
 use higraph_graph::Csr;
@@ -104,9 +107,10 @@ impl From<StallDiagnostic> for BatchError {
 /// How one batched simulation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunMode {
-    /// The whole graph resides on chip ([`Engine::run`]).
+    /// The whole graph resides on chip ([`Engine::run`](crate::Engine::run)).
     Whole,
-    /// The Sec. 5.3 large-graph schedule ([`Engine::run_sliced`]).
+    /// The Sec. 5.3 large-graph schedule
+    /// ([`Engine::run_sliced`](crate::Engine::run_sliced)).
     Sliced {
         /// Destination-interval slice count (zero fails the job with
         /// [`BatchError::Config`]).
@@ -176,56 +180,18 @@ impl<'g, Prog> BatchJob<'g, Prog> {
     }
 }
 
-/// Timing detail only sliced runs produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlicedTiming {
-    /// Slices per iteration.
-    pub num_slices: usize,
-    /// Exposed replacement cycles, single-buffered.
-    pub swap_cycles_sequential: u64,
-    /// Exposed replacement cycles, double-buffered.
-    pub swap_cycles_overlapped: u64,
-}
-
-/// Detail only sharded multi-chip runs produce.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardedTiming {
-    /// Chips the job executed on.
-    pub num_chips: usize,
-    /// Update packets that crossed the inter-chip link.
-    pub cross_chip_packets: u64,
-    /// Per-chip scatter+apply cycle totals, indexed by chip.
-    pub per_chip_cycles: Vec<u64>,
-}
-
 /// Result of one batched simulation.
 #[derive(Debug, Clone)]
 pub struct BatchResult<P> {
     /// The job's label.
     pub label: String,
-    /// Final Property Array — bit-identical to a serial [`Engine::run`]
-    /// (or [`Engine::run_sliced`] / [`ShardedEngine::run`]) of the same
-    /// job. Empty when the entry failed (see [`BatchResult::error`]).
-    pub properties: Vec<P>,
-    /// Performance metrics of the simulated accelerator (the aggregate
-    /// critical-path metrics for sharded jobs); default-zero when the
-    /// entry failed.
-    pub metrics: Metrics,
-    /// Slice-replacement timing for [`RunMode::Sliced`] jobs.
-    pub sliced: Option<SlicedTiming>,
-    /// Multi-chip detail for [`RunMode::Sharded`] jobs.
-    pub sharded: Option<ShardedTiming>,
-    /// Why this entry failed, if it did: an invalid configuration or a
-    /// runtime stall. A bad design point fails its own entry; the rest
-    /// of the batch runs to completion.
-    pub error: Option<BatchError>,
-}
-
-impl<P> BatchResult<P> {
-    /// Whether this entry simulated to completion.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
+    /// The job's run — bit-identical to running it directly through
+    /// [`Engine::run`](crate::Engine::run),
+    /// [`Engine::run_sliced`](crate::Engine::run_sliced) or
+    /// [`ShardedEngine::run`] — or why this entry failed: an invalid
+    /// configuration or a runtime stall. A bad design point fails its
+    /// own entry; the rest of the batch runs to completion.
+    pub run: Result<RunResult<P>, BatchError>,
 }
 
 /// Aggregate throughput of one batch execution.
@@ -239,8 +205,8 @@ pub struct BatchReport {
     pub total_simulated_cycles: u64,
     /// Sum of modeled execution time across all simulations, ns.
     pub total_simulated_ns: f64,
-    /// Entries that failed with a stall diagnostic (their metrics are
-    /// excluded from the totals above).
+    /// Entries that failed (they contribute nothing to the totals
+    /// above).
     pub failed_jobs: usize,
     /// Host wall-clock time for the whole batch, seconds.
     pub wall_seconds: f64,
@@ -323,13 +289,19 @@ impl BatchRunner {
     {
         // lint:allow(determinism): wall-clock only feeds host-side BatchReport throughput; simulated state never reads it
         let started = Instant::now();
-        let results = self.execute(&jobs, run_one);
+        let results = self.execute(&jobs, |job| BatchResult {
+            label: job.label.clone(),
+            run: run_job(job),
+        });
         let mut report = self.summarize(
-            results.iter().filter(|r| r.is_ok()).map(|r| &r.metrics),
+            results
+                .iter()
+                .filter_map(|r| r.run.as_ref().ok())
+                .map(|r| &r.metrics),
             started,
         );
         report.jobs = results.len();
-        report.failed_jobs = results.iter().filter(|r| !r.is_ok()).count();
+        report.failed_jobs = results.iter().filter(|r| r.run.is_err()).count();
         (results, report)
     }
 
@@ -379,76 +351,32 @@ impl BatchRunner {
     }
 }
 
-fn run_one<Prog>(job: &BatchJob<'_, Prog>) -> BatchResult<Prog::Prop>
+/// Runs one job on a [`ShardedEngine`]: `Engine` is its one-chip case,
+/// so every mode goes through the same constructor and run loop.
+fn run_job<Prog>(job: &BatchJob<'_, Prog>) -> Result<RunResult<Prog::Prop>, BatchError>
 where
     Prog: VertexProgram + Sync,
 {
-    let outcome = (|| match job.mode {
-        RunMode::Whole => {
-            let mut engine =
-                Engine::try_new(job.config.clone(), job.graph).map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            let r = engine.run(&job.program)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                metrics: r.metrics,
-                sliced: None,
-                sharded: None,
-                error: None,
-            })
+    let shard = match job.mode {
+        RunMode::Sharded { shard } => shard,
+        RunMode::Sliced { num_slices: 0, .. } => {
+            return Err(BatchError::Config(
+                "a sliced job needs at least one slice".to_string(),
+            ))
         }
-        RunMode::Sliced { num_slices: 0, .. } => Err(BatchError::Config(
-            "a sliced job needs at least one slice".to_string(),
-        )),
+        RunMode::Whole | RunMode::Sliced { .. } => ShardConfig::new(1),
+    };
+    let mut engine =
+        ShardedEngine::try_new(job.config.clone(), shard, job.graph).map_err(BatchError::Config)?;
+    engine.set_stall_guard(job.stall_guard);
+    let run = match job.mode {
         RunMode::Sliced {
             num_slices,
             memory_bytes_per_cycle,
-        } => {
-            let mut engine =
-                Engine::try_new(job.config.clone(), job.graph).map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            let r = engine.run_sliced(&job.program, num_slices, memory_bytes_per_cycle)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                metrics: r.metrics,
-                sliced: Some(SlicedTiming {
-                    num_slices: r.num_slices,
-                    swap_cycles_sequential: r.swap_cycles_sequential,
-                    swap_cycles_overlapped: r.swap_cycles_overlapped,
-                }),
-                sharded: None,
-                error: None,
-            })
-        }
-        RunMode::Sharded { shard } => {
-            let mut engine = ShardedEngine::try_new(job.config.clone(), shard, job.graph)
-                .map_err(BatchError::Config)?;
-            engine.set_stall_guard(job.stall_guard);
-            let r = engine.run(&job.program)?;
-            Ok(BatchResult {
-                label: job.label.clone(),
-                properties: r.properties,
-                sliced: None,
-                sharded: Some(ShardedTiming {
-                    num_chips: r.chips.len(),
-                    cross_chip_packets: r.cross_chip_packets,
-                    per_chip_cycles: r.chips.iter().map(|c| c.cycles).collect(),
-                }),
-                metrics: r.metrics,
-                error: None,
-            })
-        }
-    })();
-    outcome.unwrap_or_else(|e: BatchError| BatchResult {
-        label: job.label.clone(),
-        properties: Vec::new(),
-        metrics: Metrics::default(),
-        sliced: None,
-        sharded: None,
-        error: Some(e),
-    })
+        } => engine.run_sliced(&job.program, num_slices, memory_bytes_per_cycle),
+        RunMode::Whole | RunMode::Sharded { .. } => engine.run(&job.program),
+    };
+    Ok(run?)
 }
 
 #[cfg(test)]
@@ -488,8 +416,9 @@ mod tests {
         assert_eq!(par.len(), ser.len());
         for (p, s) in par.iter().zip(&ser) {
             assert_eq!(p.label, s.label);
-            assert_eq!(p.properties, s.properties, "{}", p.label);
-            assert_eq!(p.metrics, s.metrics, "{}", p.label);
+            let (p_run, s_run) = (run_of(p), run_of(s));
+            assert_eq!(p_run.properties, s_run.properties, "{}", p.label);
+            assert_eq!(p_run.metrics, s_run.metrics, "{}", p.label);
         }
     }
 
@@ -503,11 +432,20 @@ mod tests {
         ];
         let (results, report) = BatchRunner::parallel().run(jobs);
         assert_eq!(report.jobs, 2);
-        assert_eq!(results[0].properties, results[1].properties);
-        assert!(results[0].sliced.is_none());
-        let t = results[1].sliced.expect("sliced timing");
-        assert_eq!(t.num_slices, 3);
-        assert!(t.swap_cycles_overlapped <= t.swap_cycles_sequential);
+        let (whole, sliced) = (run_of(&results[0]), run_of(&results[1]));
+        assert_eq!(whole.properties, sliced.properties);
+        assert_eq!(whole.swap_cycles_sequential, 0);
+        assert_eq!(whole.swap_cycles_overlapped, 0);
+        let direct = crate::Engine::new(AcceleratorConfig::higraph(), &g)
+            .run_sliced(&PageRank::new(3), 3, 64)
+            .expect("no stall");
+        assert_eq!(*sliced, direct, "the entry is the 3-slice run");
+        assert!(sliced.swap_cycles_overlapped <= sliced.swap_cycles_sequential);
+    }
+
+    /// The run of a batch entry that must have succeeded.
+    fn run_of<P>(result: &BatchResult<P>) -> &RunResult<P> {
+        result.run.as_ref().expect("the entry runs")
     }
 
     #[test]
@@ -520,12 +458,12 @@ mod tests {
         ];
         let (results, report) = BatchRunner::parallel().run(jobs);
         assert_eq!(report.jobs, 2);
-        assert_eq!(results[0].properties, results[1].properties);
-        assert!(results[0].sharded.is_none());
-        let t = results[1].sharded.as_ref().expect("sharded timing");
-        assert_eq!(t.num_chips, 4);
-        assert_eq!(t.per_chip_cycles.len(), 4);
-        assert!(t.cross_chip_packets > 0);
+        let (serial, sharded) = (run_of(&results[0]), run_of(&results[1]));
+        assert_eq!(serial.properties, sharded.properties);
+        assert_eq!(serial.num_chips(), 1);
+        assert_eq!(serial.cross_chip_packets, 0);
+        assert_eq!(sharded.num_chips(), 4);
+        assert!(sharded.cross_chip_packets > 0);
     }
 
     #[test]
@@ -537,16 +475,14 @@ mod tests {
         ];
         let (results, report) = BatchRunner::parallel().run(jobs);
         assert_eq!(report.jobs, 2);
+        let metrics: Vec<&Metrics> = results.iter().map(|r| &run_of(r).metrics).collect();
         assert_eq!(
             report.total_edges_processed,
-            results
-                .iter()
-                .map(|r| r.metrics.edges_processed)
-                .sum::<u64>()
+            metrics.iter().map(|m| m.edges_processed).sum::<u64>()
         );
         assert_eq!(
             report.total_simulated_cycles,
-            results.iter().map(|r| r.metrics.cycles).sum::<u64>()
+            metrics.iter().map(|m| m.cycles).sum::<u64>()
         );
         assert!(report.aggregate_gteps() > 0.0);
         assert!(report.wall_seconds >= 0.0);

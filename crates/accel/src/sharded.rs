@@ -44,7 +44,7 @@
 use crate::apply::{apply_cycles, apply_phase};
 use crate::config::AcceleratorConfig;
 use crate::engine::{
-    Checkpoint, ControlError, Phase, ScatterPipeline, SlicedRunResult, StallDiagnostic,
+    Checkpoint, ControlError, Phase, RunOutcome, RunResult, ScatterPipeline, StallDiagnostic,
 };
 use crate::faults::FaultRuntime;
 use crate::metrics::Metrics;
@@ -53,9 +53,8 @@ use higraph_graph::slicing::{partition, slice_swap_cycles, total_cut_edges, Slic
 use higraph_graph::{Csr, VertexId};
 use higraph_pool::CorePool;
 use higraph_sim::{
-    content_checksum, ClockedComponent, DrainError, DrainStep, InterChipLink, Network,
-    NetworkStats, Packet, RunControl, Scheduler, SnapError, SnapReader, SnapValue, SnapWriter,
-    Snapshot,
+    content_checksum, ClockedComponent, DrainError, DrainStep, InterChipLink, Network, Packet,
+    RunControl, Scheduler, SnapError, SnapReader, SnapValue, SnapWriter, Snapshot,
 };
 use higraph_vcpm::VertexProgram;
 use std::borrow::Cow;
@@ -140,67 +139,6 @@ impl SnapValue for ShardPacket {
             dst_chip: r.usize()?,
         })
     }
-}
-
-/// Result of a sharded run ([`ShardedEngine::run`]).
-#[derive(Debug, Clone)]
-pub struct ShardedRunResult<P> {
-    /// Final Property Array — bit-identical to the serial engine's.
-    pub properties: Vec<P>,
-    /// Aggregate metrics on the multi-chip critical path: scatter cycles
-    /// are the longest drain per iteration (over the chips *and* the
-    /// link), apply cycles the slowest chip's owned-interval scan per
-    /// iteration. Fabric stats and counters are merged across chips.
-    pub metrics: Metrics,
-    /// Per-chip metrics, indexed by chip (= slice) number.
-    pub chips: Vec<Metrics>,
-    /// Update packets that crossed the inter-chip link.
-    pub cross_chip_packets: u64,
-    /// Link fabric counters (accepted/rejected/delivered/cycles).
-    pub link: NetworkStats,
-}
-
-impl<P> ShardedRunResult<P> {
-    /// Number of chips that executed this run.
-    pub fn num_chips(&self) -> usize {
-        self.chips.len()
-    }
-
-    /// Scatter cycles of the slowest chip — the compute-only critical
-    /// path, before the link's drain is folded in.
-    pub fn max_chip_scatter_cycles(&self) -> u64 {
-        self.chips
-            .iter()
-            .map(|m| m.scatter_cycles)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Aggregate cycles per processed edge — the scale-out efficiency
-    /// figure the multi-chip sweep reports.
-    pub fn cycles_per_edge(&self) -> f64 {
-        if self.metrics.edges_processed == 0 {
-            0.0
-        } else {
-            self.metrics.cycles as f64 / self.metrics.edges_processed as f64
-        }
-    }
-}
-
-/// How a controlled sharded run ([`ShardedEngine::run_controlled`])
-/// ended: completion, a boundary checkpoint, or cancellation.
-// Same shape as `RunOutcome`: matched once and destructured, so the
-// inline result's size skew never costs anything.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ShardedOutcome<P> {
-    /// The run finished; bit-identical to [`ShardedEngine::run`].
-    Done(ShardedRunResult<P>),
-    /// The run parked at a committed iteration boundary and serialized
-    /// its full state into a restorable checkpoint.
-    Parked(Checkpoint),
-    /// Cancellation was observed; partial state was discarded.
-    Cancelled,
 }
 
 /// The per-run multi-chip state: P chip pipelines plus the staged link.
@@ -524,33 +462,14 @@ impl<'g> ShardedEngine<'g> {
     /// Returns a [`StallDiagnostic`] if a chip or the link fails to
     /// drain an iteration within its stall guard (a mis-sized fabric,
     /// link, or memory configuration).
-    pub fn run<Prog>(
-        &mut self,
-        program: &Prog,
-    ) -> Result<ShardedRunResult<Prog::Prop>, StallDiagnostic>
-    where
-        Prog: VertexProgram + Sync,
-    {
-        self.run_state(program, &self.intervals).map(finish_result)
-    }
-
-    /// [`ShardedEngine::run`]'s loop over any interval schedule: runs
-    /// `program` to completion and returns the final state.
-    fn run_state<Prog>(
-        &self,
-        program: &Prog,
-        intervals: &[Interval<'_>],
-    ) -> Result<ShardedRunState<Prog::Prop>, StallDiagnostic>
+    pub fn run<Prog>(&mut self, program: &Prog) -> Result<RunResult<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
     {
         let mut st = self.fresh_state(program);
-        let faults = self.fault_runtime(&st.multi);
-        while !st.frontier.is_empty() && !capped(program, &st.agg) {
-            let completed = self.iterate(program, intervals, &mut st, None, faults.as_ref())?;
-            debug_assert!(completed, "uncontrolled drain cannot be interrupted");
-        }
-        Ok(st)
+        // Uncontrolled, so the loop only stops at the end of the run.
+        self.drive(program, &self.intervals, None, &mut st)?;
+        Ok(finish_result(st))
     }
 
     /// The Sec. 5.3 schedule behind [`crate::Engine::run_sliced`]: this
@@ -562,7 +481,7 @@ impl<'g> ShardedEngine<'g> {
         program: &Prog,
         num_slices: usize,
         memory_bytes_per_cycle: u64,
-    ) -> Result<SlicedRunResult<Prog::Prop>, StallDiagnostic>
+    ) -> Result<RunResult<Prog::Prop>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
     {
@@ -574,17 +493,40 @@ impl<'g> ShardedEngine<'g> {
                 Interval::from_slice(slice, swap)
             })
             .collect();
-        let st = self.run_state(program, &intervals)?;
-        let (swap_cycles_sequential, swap_cycles_overlapped) =
-            (st.swap_sequential, st.swap_overlapped);
-        let r = finish_result(st);
-        Ok(SlicedRunResult {
-            properties: r.properties,
-            metrics: r.metrics,
-            num_slices,
-            swap_cycles_sequential,
-            swap_cycles_overlapped,
-        })
+        let mut st = self.fresh_state(program);
+        self.drive(program, &intervals, None, &mut st)?;
+        Ok(finish_result(st))
+    }
+
+    /// The run loop of every mode: iterates `program` over `intervals`
+    /// until its frontier empties or its iteration cap is reached. Under
+    /// `control` it also stops at a cancellation, or at a committed
+    /// iteration boundary when a park is due.
+    fn drive<Prog>(
+        &self,
+        program: &Prog,
+        intervals: &[Interval<'_>],
+        control: Option<&RunControl>,
+        st: &mut ShardedRunState<Prog::Prop>,
+    ) -> Result<Stop, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+    {
+        let faults = self.fault_runtime(&st.multi);
+        while !st.frontier.is_empty() && !capped(program, &st.agg) {
+            if let Some(control) = control {
+                if control.cancelled() {
+                    return Ok(Stop::Cancel);
+                }
+                if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
+                    return Ok(Stop::Park);
+                }
+            }
+            if !self.iterate(program, intervals, st, control, faults.as_ref())? {
+                return Ok(Stop::Cancel);
+            }
+        }
+        Ok(Stop::Done)
     }
 
     /// Expands the configuration's fault plan against this engine's
@@ -761,8 +703,8 @@ impl<'g> ShardedEngine<'g> {
             // exposed; later loads overlap the previous phase's compute
             // under double buffering.
             let swap = lanes.iter().map(|lane| lane.swap_cycles).max().unwrap_or(0);
-            st.swap_sequential += swap;
-            st.swap_overlapped += if phase_index == 0 {
+            st.swap_cycles_sequential += swap;
+            st.swap_cycles_overlapped += if phase_index == 0 {
                 swap
             } else {
                 swap.saturating_sub(prev_phase_cycles)
@@ -801,8 +743,8 @@ impl<'g> ShardedEngine<'g> {
     /// Executes `program` under cooperative run control: `control` can
     /// cancel mid-drain or park at the next committed iteration boundary
     /// into a restorable [`Checkpoint`]. Controlled runs drain exactly
-    /// as [`ShardedEngine::run`] does, through the same pool batches, and a
-    /// run that completes is bit-identical to it.
+    /// as [`ShardedEngine::run`] does, through the same loop and pool
+    /// batches, and a run that completes is bit-identical to it.
     ///
     /// # Errors
     ///
@@ -812,13 +754,13 @@ impl<'g> ShardedEngine<'g> {
         &mut self,
         program: &Prog,
         control: &RunControl,
-    ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
+    ) -> Result<RunOutcome<RunResult<Prog::Prop>>, StallDiagnostic>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
     {
         let state = self.fresh_state(program);
-        self.drive(program, control, state)
+        self.controlled(program, control, state)
     }
 
     /// Continues a parked run from `checkpoint` under `control`. The
@@ -838,7 +780,7 @@ impl<'g> ShardedEngine<'g> {
         program: &Prog,
         control: &RunControl,
         checkpoint: &[u8],
-    ) -> Result<ShardedOutcome<Prog::Prop>, ControlError>
+    ) -> Result<RunOutcome<RunResult<Prog::Prop>>, ControlError>
     where
         Prog: VertexProgram + Sync,
         Prog::Prop: SnapValue,
@@ -846,8 +788,28 @@ impl<'g> ShardedEngine<'g> {
         let mut state = self.fresh_state(program);
         self.load_checkpoint(&mut state, checkpoint)?;
         control.clear_park();
-        self.drive(program, control, state)
-            .map_err(ControlError::Stall)
+        Ok(self.controlled(program, control, state)?)
+    }
+
+    /// Drives a controlled run from `st` and reports where it stopped:
+    /// finished, parked into a checkpoint, or cancelled.
+    fn controlled<Prog>(
+        &self,
+        program: &Prog,
+        control: &RunControl,
+        mut st: ShardedRunState<Prog::Prop>,
+    ) -> Result<RunOutcome<RunResult<Prog::Prop>>, StallDiagnostic>
+    where
+        Prog: VertexProgram + Sync,
+        Prog::Prop: SnapValue,
+    {
+        Ok(
+            match self.drive(program, &self.intervals, Some(control), &mut st)? {
+                Stop::Done => RunOutcome::Done(finish_result(st)),
+                Stop::Park => RunOutcome::Parked(self.save_checkpoint(&st)),
+                Stop::Cancel => RunOutcome::Cancelled,
+            },
+        )
     }
 
     /// The state every run starts from (checkpoints restore over it).
@@ -884,42 +846,9 @@ impl<'g> ShardedEngine<'g> {
             chip_metrics: (0..num_chips).map(|_| fresh_metrics()).collect(),
             agg: fresh_metrics(),
             cross_chip_packets: 0,
-            swap_sequential: 0,
-            swap_overlapped: 0,
+            swap_cycles_sequential: 0,
+            swap_cycles_overlapped: 0,
         }
-    }
-
-    /// The controlled run loop: [`ShardedEngine::run`]'s loop plus
-    /// cancel checks and boundary parking.
-    fn drive<Prog>(
-        &mut self,
-        program: &Prog,
-        control: &RunControl,
-        mut st: ShardedRunState<Prog::Prop>,
-    ) -> Result<ShardedOutcome<Prog::Prop>, StallDiagnostic>
-    where
-        Prog: VertexProgram + Sync,
-        Prog::Prop: SnapValue,
-    {
-        let faults = self.fault_runtime(&st.multi);
-        while !st.frontier.is_empty() && !capped(program, &st.agg) {
-            if control.cancelled() {
-                return Ok(ShardedOutcome::Cancelled);
-            }
-            if control.should_park(st.agg.scatter_cycles + st.agg.apply_cycles) {
-                return Ok(ShardedOutcome::Parked(self.save_checkpoint(&st)));
-            }
-            if !self.iterate(
-                program,
-                &self.intervals,
-                &mut st,
-                Some(control),
-                faults.as_ref(),
-            )? {
-                return Ok(ShardedOutcome::Cancelled);
-            }
-        }
-        Ok(ShardedOutcome::Done(finish_result(st)))
     }
 
     /// Serializes a boundary state: identity context (graph hash,
@@ -1043,8 +972,18 @@ struct ShardedRunState<P> {
     cross_chip_packets: u64,
     /// Slice-replacement cycles of a sliced run, single- and
     /// double-buffered. Not checkpointed: only whole-interval runs park.
-    swap_sequential: u64,
-    swap_overlapped: u64,
+    swap_cycles_sequential: u64,
+    swap_cycles_overlapped: u64,
+}
+
+/// Where [`ShardedEngine::drive`] left a run.
+enum Stop {
+    /// The frontier emptied or the program's iteration cap was reached.
+    Done,
+    /// The control asked to park at this committed iteration boundary.
+    Park,
+    /// The control cancelled the run; its state is mid-flight.
+    Cancel,
 }
 
 /// Whether `program`'s iteration cap stops the run before another
@@ -1083,13 +1022,15 @@ fn derived_stall_guard(
 /// cannot diverge: each chip's fabric statistics are collected through
 /// the unified [`ClockedComponent::network_stats`] point, then the
 /// aggregate sums the chips.
-fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<P> {
+fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> RunResult<P> {
     let ShardedRunState {
         properties,
         multi,
         mut chip_metrics,
         mut agg,
         cross_chip_packets,
+        swap_cycles_sequential,
+        swap_cycles_overlapped,
         ..
     } = st;
     for (metrics, chip) in chip_metrics.iter_mut().zip(&multi.chips) {
@@ -1115,12 +1056,14 @@ fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> ShardedRunResult<
         agg.memory.merge(&chip.memory);
     }
     agg.cycles = agg.scatter_cycles + agg.apply_cycles;
-    ShardedRunResult {
+    RunResult {
         properties,
         metrics: agg,
         chips: chip_metrics,
         cross_chip_packets,
         link: *multi.link.link.stats(),
+        swap_cycles_sequential,
+        swap_cycles_overlapped,
     }
 }
 
@@ -1370,7 +1313,7 @@ mod tests {
             .run_controlled(&prog, &control)
             .expect("no stall");
         match outcome {
-            ShardedOutcome::Done(r) => {
+            RunOutcome::Done(r) => {
                 assert_eq!(r.properties, plain.properties);
                 assert_eq!(r.metrics, plain.metrics);
                 assert_eq!(r.chips, plain.chips);
@@ -1394,7 +1337,7 @@ mod tests {
         control.set_budget_cycles(Some(1));
         let mut engine = ShardedEngine::new(AcceleratorConfig::higraph(), ShardConfig::new(3), &g);
         let parked = match engine.run_controlled(&prog, &control).expect("no stall") {
-            ShardedOutcome::Parked(ck) => ck,
+            RunOutcome::Parked(ck) => ck,
             other => panic!("expected a parked run, got {other:?}"),
         };
         control.set_budget_cycles(None);
@@ -1402,7 +1345,7 @@ mod tests {
             .resume_controlled(&prog, &control, &parked.bytes)
             .expect("no stall")
         {
-            ShardedOutcome::Done(r) => {
+            RunOutcome::Done(r) => {
                 assert_eq!(r.properties, plain.properties);
                 assert_eq!(r.metrics, plain.metrics, "restore must be cycle-exact");
                 assert_eq!(r.chips, plain.chips);

@@ -58,13 +58,14 @@
 #![forbid(unsafe_code)]
 
 use higraph::prelude::{
-    AcceleratorConfig, Bfs, Dataset, Engine, FaultPlan, Metrics, RunControl, ShardConfig,
+    AcceleratorConfig, Bfs, Dataset, Engine, FaultPlan, Metrics, RunControl, RunOutcome,
+    ShardConfig,
 };
 use higraph_bench::dse::{DseOutcome, DseSettings, MAX_ANCHOR_FRONT_EXCESS};
 use higraph_bench::report::{
     check_against_baseline, filter_baseline_to_targets, parse_flat_json, DEFAULT_TOLERANCE,
 };
-use higraph_bench::{figures, Algo, ControlledOutcome, Report, Scale};
+use higraph_bench::{figures, Algo, Report, Scale};
 use std::collections::BTreeSet;
 use std::process::ExitCode;
 
@@ -391,17 +392,30 @@ fn main() -> ExitCode {
 
 fn batch(scale: Scale, out: &mut Report) {
     println!("-- Batch runner: parallel (program × config) sweep (PR, Slashdot) --");
-    let (rows, report) = figures::batch_throughput(scale);
-    for r in &rows {
+    let (results, report) = figures::batch_throughput(scale);
+    for r in &results {
+        let run = match &r.run {
+            Ok(run) => run,
+            Err(e) => {
+                println!("{:<18} FAILED: {e}", r.label);
+                continue;
+            }
+        };
+        let m = &run.metrics;
         println!(
             "{:<18} {:5.1} GTEPS over {:>11} cycles{}",
             r.label,
-            r.gteps,
-            r.cycles,
-            if r.sliced { "  (sliced)" } else { "" }
+            m.gteps(),
+            m.cycles,
+            // only sliced runs load slices
+            if run.swap_cycles_sequential > 0 {
+                "  (sliced)"
+            } else {
+                ""
+            }
         );
-        out.record(format!("batch.{}.cycles", r.label), r.cycles as f64);
-        out.record(format!("batch.{}.gteps", r.label), r.gteps);
+        out.record(format!("batch.{}.cycles", r.label), m.cycles as f64);
+        out.record(format!("batch.{}.gteps", r.label), m.gteps());
     }
     println!(
         "{} sims on {} workers: {:.2}s wall, {:.2} sims/s, {:.1}M simulated edges/s host-side,\n\
@@ -1088,7 +1102,7 @@ fn faults(scale: Scale, out: &mut Report) -> FaultsOutcome {
             .run_sharded_controlled(&faulty_cfg, shard, &graph, scale.pr_iters, &control, None)
             .expect("controlled faulty run");
         let (park_cycles, restored) = match partial {
-            ControlledOutcome::Parked(ck) => {
+            RunOutcome::Parked(ck) => {
                 let resume = RunControl::new();
                 match algo
                     .run_sharded_controlled(
@@ -1101,9 +1115,7 @@ fn faults(scale: Scale, out: &mut Report) -> FaultsOutcome {
                     )
                     .expect("resume from mid-fault checkpoint")
                 {
-                    ControlledOutcome::Done(resumed) => {
-                        (ck.cycles, resumed.metrics == faulty.metrics)
-                    }
+                    RunOutcome::Done(resumed) => (ck.cycles, resumed.metrics == faulty.metrics),
                     _ => (ck.cycles, false),
                 }
             }

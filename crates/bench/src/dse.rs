@@ -284,7 +284,7 @@ fn evaluate(
         };
         let (results, _) = runner.run(jobs);
         for (&i, r) in fresh.iter().zip(results) {
-            let cycles = r.is_ok().then_some(r.metrics.cycles);
+            let cycles = r.run.ok().map(|run| run.metrics.cycles);
             memo.insert(keys[i].clone(), cycles);
         }
     }

@@ -463,12 +463,14 @@ fn simspeed_on(graph: &Csr, pr_iters: u32) -> (Vec<SimSpeedRow>, f64) {
             let mut cfg = AcceleratorConfig::higraph();
             cfg.name = format!("HiGraph[simspeed,c{cache_kb}KB]");
             cfg.memory = Some(simspeed_memory(cache_kb));
-            Algo::Pr.run_with(&cfg, graph, pr_iters, fast_forward)
+            let mut engine = Engine::new(cfg, graph);
+            engine.set_fast_forward(fast_forward);
+            engine.run(&PageRank::new(pr_iters))
         });
         let host_seconds = start.elapsed().as_secs_f64();
         let simulated_cycles = rows
             .iter()
-            .map(|r| r.as_ref().map_or(0, |m| m.cycles))
+            .map(|r| r.as_ref().map_or(0, |r| r.metrics.cycles))
             .sum::<u64>();
         (host_seconds, simulated_cycles)
     };
@@ -831,25 +833,13 @@ pub fn area_power() -> Vec<AreaPowerRow> {
     ]
 }
 
-/// One row of the batch-runner throughput demonstration.
-#[derive(Debug, Clone)]
-pub struct BatchSweepRow {
-    /// Job label.
-    pub label: String,
-    /// Simulated throughput of that design point.
-    pub gteps: f64,
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Whether the job used the sliced large-graph schedule.
-    pub sliced: bool,
-}
-
 /// The batch-runner demonstration: one typed batch of PageRank jobs —
 /// all three Table 1 designs, a buffer-starved variant, and two sliced
 /// large-graph schedules — executed in parallel, with the aggregate
-/// report. Results are bit-identical to serial execution
+/// report. Each entry is its job's run or the error that failed it.
+/// Results are bit-identical to serial execution
 /// (`tests/batch_runner.rs` asserts this for the same job shapes).
-pub fn batch_throughput(scale: Scale) -> (Vec<BatchSweepRow>, BatchReport) {
+pub fn batch_throughput(scale: Scale) -> (Vec<BatchResult<u64>>, BatchReport) {
     let graph = scale.build(Dataset::Slashdot);
     let pr = scale.pr_iters;
     let mut small_buffer = AcceleratorConfig::higraph();
@@ -890,17 +880,7 @@ pub fn batch_throughput(scale: Scale) -> (Vec<BatchSweepRow>, BatchReport) {
         )
         .sliced(8, 64),
     ];
-    let (results, report) = BatchRunner::parallel().run(jobs);
-    let rows = results
-        .into_iter()
-        .map(|r| BatchSweepRow {
-            label: r.label,
-            gteps: r.metrics.gteps(),
-            cycles: r.metrics.cycles,
-            sliced: r.sliced.is_some(),
-        })
-        .collect();
-    (rows, report)
+    BatchRunner::parallel().run(jobs)
 }
 
 #[cfg(test)]

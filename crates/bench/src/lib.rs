@@ -22,4 +22,4 @@ pub use figures::*;
 pub use memo::LruCache;
 pub use report::Report;
 pub use serve::ServeSession;
-pub use workload::{Algo, ControlledOutcome, Scale};
+pub use workload::{Algo, Scale};

@@ -115,18 +115,16 @@ pub(crate) fn write_json_number(out: &mut String, v: f64) {
 ///
 /// # Errors
 ///
-/// Returns a message naming the first offending byte offset.
+/// Returns a message naming the first offending byte offset, or the key
+/// whose value is a string.
 pub fn parse_flat_json(text: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let map = p.object()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing content at byte {}", p.pos));
-    }
-    Ok(map)
+    parse_flat_json_values(text)?
+        .into_iter()
+        .map(|(key, value)| match value {
+            JsonValue::Num(v) => Ok((key, v)),
+            JsonValue::Str(_) => Err(format!("\"{key}\" is a string, not a number")),
+        })
+        .collect()
 }
 
 /// A scalar value in a flat JSON object. The number-only baseline format
@@ -205,33 +203,6 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<BTreeMap<String, f64>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.number()?;
-            if map.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate key \"{key}\""));
-            }
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(map);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
     fn object_values(&mut self) -> Result<BTreeMap<String, JsonValue>, String> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
@@ -302,14 +273,12 @@ impl Parser<'_> {
                     let start = self.pos;
                     let ch_len = utf8_len(b);
                     self.pos += ch_len;
-                    s.push_str(
+                    s.push(
                         std::str::from_utf8(&self.bytes[start..self.pos])
                             .map_err(|_| format!("invalid UTF-8 at byte {start}"))?
                             .chars()
                             .next()
-                            .ok_or("empty char".to_string())?
-                            .to_string()
-                            .as_str(),
+                            .ok_or("empty char".to_string())?,
                     );
                 }
             }

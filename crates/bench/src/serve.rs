@@ -76,7 +76,7 @@
 
 use crate::memo::LruCache;
 use crate::report::{parse_flat_json_values, write_json_number, write_json_string, JsonValue};
-use crate::workload::{Algo, ControlledOutcome};
+use crate::workload::Algo;
 use higraph::prelude::*;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -707,7 +707,7 @@ impl ServeSession {
                 self.finish_terminal(&spec.id);
                 result_line(&spec.id, &entry, false)
             }
-            Ok(Ok(ControlledOutcome::Done(summary))) => {
+            Ok(Ok(RunOutcome::Done(summary))) => {
                 let entry = MemoEntry::Ok {
                     cycles: summary.metrics.cycles,
                     gteps: summary.metrics.gteps(),
@@ -720,7 +720,7 @@ impl ServeSession {
                 self.finish_terminal(&spec.id);
                 result_line(&spec.id, &entry, false)
             }
-            Ok(Ok(ControlledOutcome::Parked(ck))) => {
+            Ok(Ok(RunOutcome::Parked(ck))) => {
                 if let Some(j) = &self.journal {
                     j.write_checkpoint(&spec.id, &ck.bytes);
                     j.record_event("parked", &spec.id);
@@ -744,7 +744,7 @@ impl ServeSession {
                 );
                 line
             }
-            Ok(Ok(ControlledOutcome::Cancelled)) => {
+            Ok(Ok(RunOutcome::Cancelled)) => {
                 self.cancelled += 1;
                 self.finish_terminal(&spec.id);
                 cancelled_line(&spec.id, "running")

@@ -74,8 +74,8 @@ impl Algo {
         MultiSourceBfs::new(sources).expect("1..=64 landmarks")
     }
 
-    /// Runs this algorithm on `graph` under `config` and returns metrics.
-    /// PageRank runs `pr_iters` power iterations.
+    /// Runs this algorithm on `graph` under `config` on one chip and
+    /// returns metrics. PageRank runs `pr_iters` power iterations.
     ///
     /// # Errors
     ///
@@ -88,31 +88,8 @@ impl Algo {
         graph: &Csr,
         pr_iters: u32,
     ) -> Result<Metrics, StallDiagnostic> {
-        self.run_with(config, graph, pr_iters, true)
-    }
-
-    /// [`Algo::run`] with explicit control over the engine's event-driven
-    /// fast-forward (results are bit-identical either way; the `simspeed`
-    /// repro target measures the host-time difference).
-    pub fn run_with(
-        self,
-        config: &AcceleratorConfig,
-        graph: &Csr,
-        pr_iters: u32,
-        fast_forward: bool,
-    ) -> Result<Metrics, StallDiagnostic> {
-        let source = Algo::source(graph);
-        let mut engine = Engine::new(config.clone(), graph);
-        engine.set_fast_forward(fast_forward);
-        let metrics = match self {
-            Algo::Bfs => engine.run(&Bfs::from_source(source))?.metrics,
-            Algo::Sssp => engine.run(&Sssp::from_source(source))?.metrics,
-            Algo::Sswp => engine.run(&Sswp::from_source(source))?.metrics,
-            Algo::Pr => engine.run(&PageRank::new(pr_iters))?.metrics,
-            Algo::Wcc => engine.run(&Wcc::new())?.metrics,
-            Algo::Msbfs => engine.run(&Algo::msbfs_program(graph))?.metrics,
-        };
-        Ok(metrics)
+        self.run_sharded(config, ShardConfig::new(1), graph, pr_iters)
+            .map(|summary| summary.metrics)
     }
 
     /// Runs this algorithm across `shard.num_chips` chips and returns the
@@ -134,25 +111,9 @@ impl Algo {
         graph: &Csr,
         pr_iters: u32,
     ) -> Result<ShardedSummary, StallDiagnostic> {
-        let mut engine = ShardedEngine::new(config.clone(), shard, graph);
-        match self {
-            Algo::Bfs => engine
-                .run(&Bfs::from_source(Algo::source(graph)))
-                .map(ShardedSummary::from),
-            Algo::Sssp => engine
-                .run(&Sssp::from_source(Algo::source(graph)))
-                .map(ShardedSummary::from),
-            Algo::Sswp => engine
-                .run(&Sswp::from_source(Algo::source(graph)))
-                .map(ShardedSummary::from),
-            Algo::Pr => engine
-                .run(&PageRank::new(pr_iters))
-                .map(ShardedSummary::from),
-            Algo::Wcc => engine.run(&Wcc::new()).map(ShardedSummary::from),
-            Algo::Msbfs => engine
-                .run(&Algo::msbfs_program(graph))
-                .map(ShardedSummary::from),
-        }
+        let engine = ShardedEngine::new(config.clone(), shard, graph);
+        self.with_program(graph, pr_iters, ToEnd(engine))
+            .map(ShardedSummary::from)
     }
 
     /// Runs this algorithm across `shard.num_chips` chips under
@@ -175,79 +136,71 @@ impl Algo {
         pr_iters: u32,
         control: &RunControl,
         checkpoint: Option<&[u8]>,
-    ) -> Result<ControlledOutcome, ControlError> {
-        let mut engine = ShardedEngine::new(config.clone(), shard, graph);
-        fn go<Prog>(
-            engine: &mut ShardedEngine<'_>,
-            prog: &Prog,
-            control: &RunControl,
-            checkpoint: Option<&[u8]>,
-        ) -> Result<ControlledOutcome, ControlError>
-        where
-            Prog: VertexProgram + Sync,
-            Prog::Prop: higraph::sim::SnapValue,
-        {
-            let outcome = match checkpoint {
-                Some(bytes) => engine.resume_controlled(prog, control, bytes)?,
-                None => engine
-                    .run_controlled(prog, control)
-                    .map_err(ControlError::Stall)?,
-            };
-            Ok(match outcome {
-                ShardedOutcome::Done(r) => ControlledOutcome::Done(ShardedSummary::from(r)),
-                ShardedOutcome::Parked(ck) => ControlledOutcome::Parked(ck),
-                ShardedOutcome::Cancelled => ControlledOutcome::Cancelled,
-            })
-        }
+    ) -> Result<RunOutcome<ShardedSummary>, ControlError> {
+        let engine = ShardedEngine::new(config.clone(), shard, graph);
+        let controlled = Controlled {
+            engine,
+            control,
+            checkpoint,
+        };
+        Ok(self
+            .with_program(graph, pr_iters, controlled)?
+            .map(ShardedSummary::from))
+    }
+
+    /// Builds this algorithm's program for `graph` and hands it to `how`:
+    /// the one place the six programs are built.
+    fn with_program<R: ProgramRun>(self, graph: &Csr, pr_iters: u32, how: R) -> R::Output {
+        let source = Algo::source(graph);
         match self {
-            Algo::Bfs => go(
-                &mut engine,
-                &Bfs::from_source(Algo::source(graph)),
-                control,
-                checkpoint,
-            ),
-            Algo::Sssp => go(
-                &mut engine,
-                &Sssp::from_source(Algo::source(graph)),
-                control,
-                checkpoint,
-            ),
-            Algo::Sswp => go(
-                &mut engine,
-                &Sswp::from_source(Algo::source(graph)),
-                control,
-                checkpoint,
-            ),
-            Algo::Pr => go(&mut engine, &PageRank::new(pr_iters), control, checkpoint),
-            Algo::Wcc => go(&mut engine, &Wcc::new(), control, checkpoint),
-            Algo::Msbfs => go(
-                &mut engine,
-                &Algo::msbfs_program(graph),
-                control,
-                checkpoint,
-            ),
+            Algo::Bfs => how.run(&Bfs::from_source(source)),
+            Algo::Sssp => how.run(&Sssp::from_source(source)),
+            Algo::Sswp => how.run(&Sswp::from_source(source)),
+            Algo::Pr => how.run(&PageRank::new(pr_iters)),
+            Algo::Wcc => how.run(&Wcc::new()),
+            Algo::Msbfs => how.run(&Algo::msbfs_program(graph)),
         }
     }
 }
 
-/// How a controlled sharded run ended, with the property array erased —
-/// what `higraph-serve` keeps per job.
-// Matched once per job and destructured, like the engine outcome enums
-// it summarizes — the inline summary's size skew never accumulates.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub enum ControlledOutcome {
-    /// The run finished; bit-identical to [`Algo::run_sharded`].
-    Done(ShardedSummary),
-    /// The run parked into a restorable checkpoint.
-    Parked(Checkpoint),
-    /// The run observed a cancellation request and discarded its state.
-    Cancelled,
+/// One run of whichever program [`Algo::with_program`] builds.
+trait ProgramRun {
+    /// What the run returns.
+    type Output;
+    /// Runs `program`.
+    fn run<Prog: VertexProgram<Prop = u64> + Sync>(self, program: &Prog) -> Self::Output;
 }
 
-/// A [`ShardedRunResult`] with the property array erased — what the
-/// sweep harnesses keep per cell, independent of the program's property
-/// type.
+/// A run to completion.
+struct ToEnd<'g>(ShardedEngine<'g>);
+
+impl ProgramRun for ToEnd<'_> {
+    type Output = Result<RunResult<u64>, StallDiagnostic>;
+    fn run<Prog: VertexProgram<Prop = u64> + Sync>(mut self, program: &Prog) -> Self::Output {
+        self.0.run(program)
+    }
+}
+
+/// A controlled run, resumed from `checkpoint` when one is given.
+struct Controlled<'a, 'g> {
+    engine: ShardedEngine<'g>,
+    control: &'a RunControl,
+    checkpoint: Option<&'a [u8]>,
+}
+
+impl ProgramRun for Controlled<'_, '_> {
+    type Output = Result<RunOutcome<RunResult<u64>>, ControlError>;
+    fn run<Prog: VertexProgram<Prop = u64> + Sync>(mut self, program: &Prog) -> Self::Output {
+        match self.checkpoint {
+            Some(bytes) => self.engine.resume_controlled(program, self.control, bytes),
+            None => Ok(self.engine.run_controlled(program, self.control)?),
+        }
+    }
+}
+
+/// A [`RunResult`] with the property array erased — what the sweep
+/// harnesses keep per cell and a controlled [`Algo`] run finishes with,
+/// independent of the program's property type.
 #[derive(Debug, Clone)]
 pub struct ShardedSummary {
     /// Aggregate critical-path metrics (merged counters).
@@ -264,8 +217,8 @@ pub struct ShardedSummary {
     pub cycles_per_edge: f64,
 }
 
-impl<P> From<ShardedRunResult<P>> for ShardedSummary {
-    fn from(r: ShardedRunResult<P>) -> Self {
+impl<P> From<RunResult<P>> for ShardedSummary {
+    fn from(r: RunResult<P>) -> Self {
         ShardedSummary {
             max_chip_scatter_cycles: r.max_chip_scatter_cycles(),
             cycles_per_edge: r.cycles_per_edge(),

@@ -49,8 +49,7 @@ pub mod prelude {
     pub use higraph_accel::{
         AcceleratorConfig, BatchError, BatchJob, BatchReport, BatchResult, BatchRunner, Checkpoint,
         ControlError, Engine, FaultPlan, MemoryConfig, MemoryMetrics, Metrics, NetworkKind,
-        OptLevel, RunMode, RunOutcome, ShardConfig, ShardedEngine, ShardedOutcome,
-        ShardedRunResult, StallDiagnostic,
+        OptLevel, RunMode, RunOutcome, RunResult, ShardConfig, ShardedEngine, StallDiagnostic,
     };
     pub use higraph_graph::{Csr, Dataset, EdgeList, VertexId};
     pub use higraph_mdp::{MdpNetwork, Topology};

@@ -1,67 +1,7 @@
-//! Arbitration policies.
-//!
-//! Two arbiters appear in the paper's designs:
-//!
-//! * [`RoundRobinArbiter`] — the per-output arbitration of a conventional
-//!   crossbar (GraphDynS / Graphicionado style),
-//! * [`OddEvenArbiter`] — HiGraph's alternating-priority arbiter for Offset
-//!   Array access (Sec. 4.1): "odd and even channels alternately have
-//!   higher priority to issue vertices".
-
-/// A work-conserving round-robin arbiter over `n` requesters.
-///
-/// Each call to [`grant`](RoundRobinArbiter::grant) picks the first
-/// requester at or after the rotating priority pointer and advances the
-/// pointer past it, guaranteeing starvation freedom.
-#[derive(Debug, Clone)]
-pub struct RoundRobinArbiter {
-    next: usize,
-    n: usize,
-}
-
-impl RoundRobinArbiter {
-    /// Creates an arbiter over `n` requesters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
-        // lint:allow(panic-freedom): documented constructor panic; fabric widths are validated before any arbiter is built
-        assert!(n > 0, "arbiter needs at least one requester");
-        RoundRobinArbiter { next: 0, n }
-    }
-
-    /// Grants one of the asserted request lines, if any.
-    ///
-    /// `requests[i] == true` means requester `i` wants the resource this
-    /// cycle. Returns the granted index and rotates priority.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != n`.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        // lint:allow(panic-freedom): documented API contract: request vectors are component-owned scratch sized at construction
-        assert_eq!(requests.len(), self.n, "request vector width mismatch");
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
-            if requests[i] {
-                self.next = (i + 1) % self.n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false: an arbiter has at least one requester.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-}
+//! HiGraph's odd-even arbiter for Offset Array access (Sec. 4.1): "odd
+//! and even channels alternately have higher priority to issue
+//! vertices". The crossbar's round-robin arbitration lives in the
+//! crossbar itself, which rotates its own priority pointer.
 
 /// HiGraph's odd-even alternating-priority arbiter (Sec. 4.1).
 ///
@@ -127,37 +67,6 @@ impl crate::snapshot::Snapshot for OddEvenArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_robin_rotates_fairly() {
-        let mut a = RoundRobinArbiter::new(3);
-        let all = [true, true, true];
-        assert_eq!(a.grant(&all), Some(0));
-        assert_eq!(a.grant(&all), Some(1));
-        assert_eq!(a.grant(&all), Some(2));
-        assert_eq!(a.grant(&all), Some(0));
-    }
-
-    #[test]
-    fn round_robin_skips_idle_requesters() {
-        let mut a = RoundRobinArbiter::new(4);
-        assert_eq!(a.grant(&[false, false, true, false]), Some(2));
-        // pointer now at 3
-        assert_eq!(a.grant(&[true, false, true, false]), Some(0));
-    }
-
-    #[test]
-    fn round_robin_none_when_no_requests() {
-        let mut a = RoundRobinArbiter::new(2);
-        assert_eq!(a.grant(&[false, false]), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "width mismatch")]
-    fn round_robin_checks_width() {
-        let mut a = RoundRobinArbiter::new(2);
-        let _ = a.grant(&[true]);
-    }
 
     #[test]
     fn odd_even_alternates() {

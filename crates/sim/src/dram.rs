@@ -226,11 +226,6 @@ impl MemoryChannel {
         }
     }
 
-    /// Whether the channel is browned out.
-    pub fn is_paused(&self) -> bool {
-        self.paused
-    }
-
     /// Whether the request queue can take one more request.
     pub fn can_accept(&self) -> bool {
         self.queue.len() < self.queue_depth

@@ -4,9 +4,8 @@
 //! HiGraph reproduction is assembled from:
 //!
 //! * [`fifo::Fifo`] — a bounded FIFO queue with explicit capacity,
-//! * [`arbiter::RoundRobinArbiter`] / [`arbiter::OddEvenArbiter`] — the two
-//!   arbitration policies used by the paper (crossbar arbitration and the
-//!   front-end's alternating-priority odd-even arbiter),
+//! * [`arbiter::OddEvenArbiter`] — the front-end's alternating-priority
+//!   odd-even arbiter,
 //! * [`network::Network`] — the interface every propagation fabric
 //!   implements (crossbar, MDP-network, naive nW1R FIFO),
 //! * [`crossbar::CrossbarNetwork`] — the input-queued crossbar with
@@ -54,7 +53,7 @@ pub mod selection;
 pub mod snapshot;
 pub mod stats;
 
-pub use arbiter::{OddEvenArbiter, RoundRobinArbiter};
+pub use arbiter::OddEvenArbiter;
 pub use clock::{min_activity, ClockedComponent, DrainStep, Scheduler, StallError};
 pub use control::{DrainError, RunControl};
 pub use crossbar::CrossbarNetwork;

@@ -374,18 +374,26 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Reads a length-prefixed sequence written by [`SnapWriter::seq`],
-    /// bounded by `max` elements so corrupt lengths fail fast instead of
-    /// attempting a huge allocation.
+    /// bounded by `max` elements. Every [`SnapValue`] encodes to at least
+    /// one byte, so a length beyond the payload bytes left is corrupt
+    /// too: both fail before anything is allocated, however large the
+    /// stored length.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapError`] on underrun, malformed elements, or a
-    /// length beyond `max`.
+    /// length beyond `max` or beyond the payload bytes left.
     pub fn seq<T: SnapValue>(&mut self, max: usize) -> Result<Vec<T>, SnapError> {
         let len = self.usize()?;
         if len > max {
             return Err(SnapError::new(format!(
                 "sequence length {len} exceeds bound {max}"
+            )));
+        }
+        let left = self.bytes.len() - self.pos;
+        if len > left {
+            return Err(SnapError::new(format!(
+                "sequence length {len} exceeds the {left} payload bytes left"
             )));
         }
         let mut out = Vec::with_capacity(len);
@@ -732,6 +740,19 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::open(&bytes).unwrap();
         assert!(wrong.load(&mut r).unwrap_err().context.contains("length"));
+    }
+
+    #[test]
+    fn sequence_longer_than_the_payload_fails_before_allocating() {
+        let mut w = SnapWriter::new();
+        w.tag(b"DEQE");
+        w.u64(1 << 40); // a re-sealed corrupt length: 8 TiB of u64s
+        w.u64(7);
+        let bytes = w.finish();
+        let mut dq: VecDeque<u64> = VecDeque::new();
+        let mut r = SnapReader::open(&bytes).unwrap();
+        let err = dq.load(&mut r).unwrap_err();
+        assert!(err.context.contains("payload bytes left"), "{err}");
     }
 
     #[test]

@@ -33,6 +33,14 @@ where
     BatchRunner::parallel().run(jobs).0
 }
 
+/// The run of a batch entry that must have succeeded.
+fn run_of<P>(result: &BatchResult<P>) -> &RunResult<P> {
+    result
+        .run
+        .as_ref()
+        .unwrap_or_else(|e| panic!("{}: {e}", result.label))
+}
+
 #[test]
 fn parallel_batch_is_bit_identical_to_serial_engine_runs() {
     let scale = Scale::tiny();
@@ -59,8 +67,9 @@ fn parallel_batch_is_bit_identical_to_serial_engine_runs() {
             .run(&Bfs::from_source(source))
             .expect("no stall");
         assert_eq!(result.label, config.name);
-        assert_eq!(result.properties, serial.properties, "{}", config.name);
-        assert_eq!(result.metrics, serial.metrics, "{}", config.name);
+        let run = run_of(result);
+        assert_eq!(run.properties, serial.properties, "{}", config.name);
+        assert_eq!(run.metrics, serial.metrics, "{}", config.name);
     }
 
     // …and a second program over two designs, so the sweep covers
@@ -74,8 +83,9 @@ fn parallel_batch_is_bit_identical_to_serial_engine_runs() {
         let serial = Engine::new(config.clone(), &graph)
             .run(&PageRank::new(scale.pr_iters))
             .expect("no stall");
-        assert_eq!(result.properties, serial.properties, "PR {}", config.name);
-        assert_eq!(result.metrics, serial.metrics, "PR {}", config.name);
+        let run = run_of(result);
+        assert_eq!(run.properties, serial.properties, "PR {}", config.name);
+        assert_eq!(run.metrics, serial.metrics, "PR {}", config.name);
     }
 }
 
@@ -99,12 +109,13 @@ fn batched_sliced_runs_match_serial_run_sliced() {
         let serial = Engine::new(AcceleratorConfig::higraph(), &graph)
             .run_sliced(&PageRank::new(3), slices, 64)
             .expect("no stall");
-        assert_eq!(result.properties, serial.properties, "{slices} slices");
-        assert_eq!(result.metrics, serial.metrics, "{slices} slices");
-        let timing = result.sliced.expect("sliced timing reported");
-        assert_eq!(timing.num_slices, slices);
-        assert_eq!(timing.swap_cycles_sequential, serial.swap_cycles_sequential);
-        assert_eq!(timing.swap_cycles_overlapped, serial.swap_cycles_overlapped);
+        let run = run_of(result);
+        assert_eq!(run.properties, serial.properties, "{slices} slices");
+        assert_eq!(run.metrics, serial.metrics, "{slices} slices");
+        assert_eq!(run.swap_cycles_sequential, serial.swap_cycles_sequential);
+        assert_eq!(run.swap_cycles_overlapped, serial.swap_cycles_overlapped);
+        // the whole result is the direct run at this slice count
+        assert_eq!(*run, serial, "{slices} slices");
     }
 }
 
@@ -127,13 +138,16 @@ fn zero_slice_job_fails_alone() {
         job("two").sliced(2, 64),
     ];
     let results = run_on_pool(jobs);
-    assert!(results[0].is_ok() && results[2].is_ok());
-    assert!(results[1].properties.is_empty());
-    match &results[1].error {
-        Some(BatchError::Config(message)) => assert!(message.contains("slice"), "{message}"),
+    assert!(results[0].run.is_ok() && results[2].run.is_ok());
+    // the failed entry carries its error and no result at all
+    match &results[1].run {
+        Err(BatchError::Config(message)) => assert!(message.contains("slice"), "{message}"),
         other => panic!("expected a configuration error, got {other:?}"),
     }
-    assert_eq!(results[0].properties, results[2].properties);
+    assert_eq!(
+        run_of(&results[0]).properties,
+        run_of(&results[2]).properties
+    );
 }
 
 #[test]
@@ -156,7 +170,10 @@ fn report_aggregates_and_preserves_job_order() {
     assert_eq!(report.jobs, 6);
     assert_eq!(
         report.total_simulated_cycles,
-        results.iter().map(|r| r.metrics.cycles).sum::<u64>()
+        results
+            .iter()
+            .map(|r| run_of(r).metrics.cycles)
+            .sum::<u64>()
     );
     assert!(report.total_edges_processed > 0);
     assert!(report.sims_per_second() > 0.0);

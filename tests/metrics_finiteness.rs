@@ -93,8 +93,11 @@ fn batch_runner_handles_degenerate_jobs() {
     assert_eq!(report.jobs, 3);
     assert_eq!(report.failed_jobs, 0);
     for r in &results {
-        assert!(r.is_ok(), "{}: {:?}", r.label, r.error);
-        assert_finite(&r.metrics, &r.label);
+        let run = r
+            .run
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{}: {e}", r.label));
+        assert_finite(&run.metrics, &r.label);
     }
     assert!(report.aggregate_gteps().is_finite());
     assert!(report.sims_per_second().is_finite());
@@ -139,17 +142,20 @@ fn stalled_entry_fails_alone_not_the_sweep() {
     let (results, report) = BatchRunner::serial().run(jobs);
     assert_eq!(report.jobs, 3);
     assert_eq!(report.failed_jobs, 1);
-    assert!(results[0].is_ok());
-    assert!(results[2].is_ok());
-    let err = results[1].error.as_ref().expect("doomed entry fails");
+    assert!(results[0].run.is_ok());
+    assert!(results[2].run.is_ok());
+    let err = results[1].run.as_ref().expect_err("doomed entry fails");
     let diagnostic = err.stall().expect("runtime stall, not a config error");
     assert_eq!(diagnostic.stall.limit, 1);
     assert!(err.to_string().contains("stalled"));
     // failed entries contribute nothing to the aggregate totals
-    assert_eq!(
-        report.total_edges_processed,
-        results[0].metrics.edges_processed + results[2].metrics.edges_processed
-    );
+    let edges = |i: usize| {
+        results[i]
+            .run
+            .as_ref()
+            .map_or(0, |r| r.metrics.edges_processed)
+    };
+    assert_eq!(report.total_edges_processed, edges(0) + edges(2));
 }
 
 #[test]
@@ -177,11 +183,13 @@ fn invalid_config_fails_its_entry_not_the_sweep() {
     let (results, report) = BatchRunner::serial().run(jobs);
     assert_eq!(report.jobs, 4);
     assert_eq!(report.failed_jobs, 3);
-    assert!(results[0].is_ok());
+    assert!(results[0].run.is_ok());
     for r in &results[1..] {
+        // a failed entry carries its error and no result at all
         let err = r
-            .error
+            .run
             .as_ref()
+            .err()
             .unwrap_or_else(|| panic!("{} must fail", r.label));
         assert!(err.stall().is_none(), "{}: {err}", r.label);
         assert!(
@@ -189,11 +197,13 @@ fn invalid_config_fails_its_entry_not_the_sweep() {
             "{}: {err}",
             r.label
         );
-        assert!(r.properties.is_empty(), "{}", r.label);
     }
     assert_eq!(
         report.total_edges_processed,
-        results[0].metrics.edges_processed
+        results[0]
+            .run
+            .as_ref()
+            .map_or(0, |r| r.metrics.edges_processed)
     );
 }
 

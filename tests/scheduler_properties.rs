@@ -476,12 +476,12 @@ proptest! {
         let control = RunControl::new();
         control.set_budget_cycles(Some(budget));
         match fresh().run_controlled(&prog, &control).expect("no stall") {
-            ShardedOutcome::Parked(ck) => {
+            RunOutcome::Parked(ck) => {
                 let resumed = match fresh()
                     .resume_controlled(&prog, &RunControl::new(), &ck.bytes)
                     .expect("checkpoint must restore")
                 {
-                    ShardedOutcome::Done(r) => r,
+                    RunOutcome::Done(r) => r,
                     _ => return Err(fail("resume must complete")),
                 };
                 prop_assert_eq!(&resumed.properties, &reference.properties);
@@ -490,12 +490,12 @@ proptest! {
                 prop_assert_eq!(&resumed.link, &reference.link);
                 prop_assert_eq!(resumed.cross_chip_packets, reference.cross_chip_packets);
             }
-            ShardedOutcome::Done(done) => {
+            RunOutcome::Done(done) => {
                 prop_assert_eq!(&done.properties, &reference.properties);
                 prop_assert_eq!(&done.metrics, &reference.metrics);
                 prop_assert_eq!(&done.chips, &reference.chips);
             }
-            ShardedOutcome::Cancelled => {
+            RunOutcome::Cancelled => {
                 return Err(fail("nobody requested a cancel"));
             }
         }
@@ -543,7 +543,7 @@ fn serial_and_one_chip_checkpoints_share_one_format() {
     else {
         panic!("the serial run must park");
     };
-    let ShardedOutcome::Parked(one_chip) = ShardedEngine::new(cfg.clone(), ShardConfig::new(1), &g)
+    let RunOutcome::Parked(one_chip) = ShardedEngine::new(cfg.clone(), ShardConfig::new(1), &g)
         .run_controlled(&prog, &control)
         .expect("no stall")
     else {

@@ -64,7 +64,7 @@ fn four_chips_match_serial_results_on_twitter() {
 /// `check`.
 fn for_programs<F>(g: &Csr, src: u32, mut check: F)
 where
-    F: FnMut(&str, Vec<u64>, ShardedRunResult<u64>),
+    F: FnMut(&str, Vec<u64>, RunResult<u64>),
 {
     let bfs = Bfs::from_source(src);
     let serial = Engine::new(AcceleratorConfig::higraph(), g)
@@ -97,16 +97,24 @@ fn sharded_jobs_match_through_the_batch_runner() {
                 .sharded(ShardConfig::new(8)),
         ]
     };
-    let (par, _) = BatchRunner::parallel().run(make_jobs());
-    let (ser, _) = BatchRunner::serial().run(make_jobs());
-    for (p, s) in par.iter().zip(&ser) {
-        assert_eq!(p.properties, s.properties, "{}", p.label);
-        assert_eq!(p.metrics, s.metrics, "{}", p.label);
-        assert_eq!(p.sharded, s.sharded, "{}", p.label);
+    let runs = |results: Vec<BatchResult<u64>>| -> Vec<(String, RunResult<u64>)> {
+        results
+            .into_iter()
+            .map(|r| (r.label, r.run.expect("well-sized config")))
+            .collect()
+    };
+    let par = runs(BatchRunner::parallel().run(make_jobs()).0);
+    let ser = runs(BatchRunner::serial().run(make_jobs()).0);
+    for ((label, p), (_, s)) in par.iter().zip(&ser) {
+        assert_eq!(p.properties, s.properties, "{label}");
+        assert_eq!(p.metrics, s.metrics, "{label}");
+        // the chip count, per-chip cycles and cross-chip packets
+        assert_eq!(p.chips, s.chips, "{label}");
+        assert_eq!(p.cross_chip_packets, s.cross_chip_packets, "{label}");
     }
     // all three modes agree on the algorithm result
-    assert_eq!(par[0].properties, par[1].properties);
-    assert_eq!(par[0].properties, par[2].properties);
+    assert_eq!(par[0].1.properties, par[1].1.properties);
+    assert_eq!(par[0].1.properties, par[2].1.properties);
 }
 
 /// The counters [`every_mode_keeps_its_recorded_cycle_counts`] pins:

@@ -105,7 +105,7 @@ fn park_and_resume_scenario() {
     let control = RunControl::new();
     control.set_budget_cycles(Some(1));
     let parked = match engine.run_controlled(&prog, &control).expect("no stall") {
-        ShardedOutcome::Parked(ck) => ck,
+        RunOutcome::Parked(ck) => ck,
         other => panic!("expected a parked run, got {other:?}"),
     };
     println!(
@@ -120,7 +120,7 @@ fn park_and_resume_scenario() {
         .resume_controlled(&prog, &control, &parked.bytes)
         .expect("resumes")
     {
-        ShardedOutcome::Done(r) => println!(
+        RunOutcome::Done(r) => println!(
             "{MARK}resumed: {:?}",
             (r.properties, r.metrics, r.chips, r.link)
         ),
