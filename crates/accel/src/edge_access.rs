@@ -276,10 +276,6 @@ impl<P: Copy> ClockedComponent for EdgeAccess<P> {
         }
     }
 
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(self.stats())
-    }
-
     /// An idle tick of an empty unit only advances cycle counters.
     fn skip(&mut self, cycles: u64) {
         debug_assert!(

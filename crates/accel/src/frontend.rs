@@ -215,8 +215,7 @@ impl<P: Copy + 'static> FrontEnd<P> {
 
     /// Cumulative statistics of the offset-routing fabric.
     pub(crate) fn offset_stats(&self) -> NetworkStats {
-        // lint:allow(panic-freedom): infallible: every fabric constructor installs a stats block
-        self.offset_net.network_stats().expect("fabrics keep stats")
+        *self.offset_net.stats()
     }
 
     /// Whether the next [`FrontEnd::step`] can do anything beyond stall

@@ -1019,9 +1019,8 @@ fn derived_stall_guard(
 }
 
 /// Final metric harvest and merge, shared by every run path so they
-/// cannot diverge: each chip's fabric statistics are collected through
-/// the unified [`ClockedComponent::network_stats`] point, then the
-/// aggregate sums the chips.
+/// cannot diverge: each chip's three fabrics report their own
+/// statistics, then the aggregate sums the chips.
 fn finish_result<P: Copy + 'static>(st: ShardedRunState<P>) -> RunResult<P> {
     let ShardedRunState {
         properties,

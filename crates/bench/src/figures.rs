@@ -716,14 +716,17 @@ pub struct RadixRow {
 /// design, where radices 2/4/8/64 all divide evenly).
 /// Like [`fig10`], always runs full-scale R14.
 pub fn radix_sweep(scale: Scale) -> Vec<RadixRow> {
-    let graph = Dataset::Rmat14.build();
+    radix_sweep_on(&Dataset::Rmat14.build(), scale.pr_iters)
+}
+
+/// [`radix_sweep`] over an arbitrary graph (unit tests run it on a small
+/// one — full-scale R14 at four radices is a release-build workload).
+fn radix_sweep_on(graph: &Csr, pr_iters: u32) -> Vec<RadixRow> {
     BatchRunner::parallel().execute(&[2usize, 4, 8, 64], |&radix| {
         let mut cfg = AcceleratorConfig::higraph().scaled_to(64);
         cfg.radix = radix;
         cfg.name = format!("HiGraph-64[r{radix}]");
-        let gteps = Algo::Pr
-            .run(&cfg, &graph, scale.pr_iters)
-            .map(|m| m.gteps());
+        let gteps = Algo::Pr.run(&cfg, graph, pr_iters).map(|m| m.gteps());
         RadixRow {
             radix,
             frequency_ghz: cfg.effective_frequency_ghz(),
@@ -992,12 +995,26 @@ mod tests {
 
     #[test]
     fn radix_sweep_shows_centralization_penalty() {
-        let rows = radix_sweep(Scale::tiny());
+        // the smallest Table 2 dataset: debug builds must finish fast
+        let tiny = Scale::tiny();
+        let rows = radix_sweep_on(&tiny.build(Dataset::Vote), tiny.pr_iters);
+        assert_eq!(
+            rows.iter().map(|r| r.radix).collect::<Vec<_>>(),
+            [2, 4, 8, 64]
+        );
+        let gteps = |r: &RadixRow| *r.gteps.as_ref().expect("every radix runs to completion");
         let small: Vec<_> = rows.iter().filter(|r| r.radix <= 8).collect();
         let large = rows.iter().find(|r| r.radix == 64).expect("radix 64");
         // small radices hold the 1 GHz target; radix 64 does not
         assert!(small.iter().all(|r| (r.frequency_ghz - 1.0).abs() < 1e-9));
         assert!(large.frequency_ghz < 1.0);
+        // ... and the slower clock costs radix 64 throughput
+        let best_small = small.iter().map(|&r| gteps(r)).fold(0.0, f64::max);
+        assert!(
+            gteps(large) < best_small,
+            "radix 64 {} GTEPS vs best small radix {best_small}",
+            gteps(large)
+        );
     }
 
     #[test]

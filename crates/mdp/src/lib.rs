@@ -17,13 +17,19 @@
 //!
 //! * [`topology::Topology`] — Algorithm 1, the automatic generator of the
 //!   stage/pairing structure for any power-of-radix channel count;
-//! * [`network::MdpNetwork`] — the cycle-level model implementing
-//!   [`higraph_sim::Network`];
+//! * [`network`] — the one cycle-level model, [`network::MdpFabric`],
+//!   generic over a compile-time [`network::SplitRule`] that cuts an item
+//!   into pieces at a stage and names each piece's destination; its
+//!   packet instance [`network::MdpNetwork`] (rule [`network::Whole`])
+//!   implements [`higraph_sim::Network`] and runs the offset-routing and
+//!   dataflow fabrics;
 //! * [`range`] — the Edge-Array-access variant: [`range::ReplayEngine`]
 //!   splits `{Off, nOff}` into `{Off, Len}` chunks, the
-//!   [`range::RangeMdpNetwork`] splits lengths at each stage as target
-//!   ranges narrow, and [`range::Dispatcher`]s fan the final small ranges
-//!   onto consecutive banks (Sec. 4.2, Fig. 6);
+//!   [`range::RangeMdpNetwork`] — the same model under the
+//!   [`range::BankRegions`] rule — splits lengths at each stage's
+//!   bank-region boundaries as target ranges narrow, and
+//!   [`range::Dispatcher`]s fan the final small ranges onto consecutive
+//!   banks (Sec. 4.2, Fig. 6);
 //! * [`naive::NaiveFifoNetwork`] — the nW1R-FIFO strawman of Fig. 5 (b/c),
 //!   kept as a baseline;
 //! * [`verilog`] — the automatic Verilog generator mirroring the paper's

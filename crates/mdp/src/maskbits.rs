@@ -1,12 +1,11 @@
-//! Per-stage channel-occupancy bitmasks shared by the packet
-//! ([`crate::network`]) and range ([`crate::range`]) MDP fabrics.
+//! Per-stage channel-occupancy bitmasks of the MDP fabric
+//! ([`crate::network`]).
 //!
 //! A stage's mask has channel `c`'s bit set
 //! (`mask[c / 64] >> (c % 64) & 1`) iff its FIFO is non-empty, so a
 //! tick visits only occupied channels instead of scanning the full
 //! fabric width — sparsely-occupied stages dominate ramp-up and drain
-//! tails. One definition keeps the two fabrics' tick early-outs in
-//! sync.
+//! tails.
 
 /// Words needed for an `n`-channel stage mask.
 #[inline]

@@ -124,10 +124,6 @@ impl<T: Packet> ClockedComponent for NaiveFifoNetwork<T> {
         self.fifos.iter().map(Fifo::len).sum()
     }
 
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(self.stats)
-    }
-
     /// Idle ticks only advance the cycle counter and refresh the
     /// free-space snapshot (a fixpoint when no pushes or pops happen).
     fn skip(&mut self, cycles: u64) {

@@ -1,29 +1,80 @@
 //! Cycle-level model of the MDP-network.
 //!
 //! Storage: one FIFO per (stage, channel) — the stage's 2W1R FIFOs. Every
-//! cycle each FIFO pops at most one packet (its single read port) and
-//! accepts at most `radix` packets (its write ports), which the topology
+//! cycle each FIFO pops at most one item (its single read port) and
+//! accepts at most `radix` items (its write ports), which the topology
 //! guarantees structurally: exactly `radix` source channels map to each
-//! FIFO. Packets advance one stage per cycle toward their destination —
+//! FIFO. Items advance one stage per cycle toward their destination —
 //! deterministic propagation, no arbitration anywhere.
+//!
+//! One model serves every fabric the paper builds from the network
+//! (Sec. 4): [`MdpFabric`] is generic over a compile-time [`SplitRule`]
+//! that cuts an item into pieces at a stage and names each piece's
+//! destination. [`MdpNetwork`] is the [`Whole`] instance — a packet is
+//! one piece bound for [`Packet::dest`] — and
+//! [`crate::RangeMdpNetwork`] the [`crate::range::BankRegions`] instance
+//! for Edge Array access.
 
 use crate::maskbits::{mask_clear, mask_set, mask_words};
 use crate::topology::Topology;
-use higraph_sim::{ClockedComponent, Fifo, Network, NetworkStats, Packet};
+use higraph_sim::{
+    ClockedComponent, Fifo, Network, NetworkStats, Packet, SnapError, SnapReader, SnapValue,
+    SnapWriter, Snapshot,
+};
 
-/// A cycle-accurate MDP-network over `T` packets.
+/// How an item crosses a stage: the one thing the fabric's instances
+/// differ in.
 ///
-/// Implements [`Network`]; see the crate docs for an example.
+/// A stage routing on destination bits `[shift, ..)` leaves each item in
+/// a channel from which only a block of `1 << shift` destinations is
+/// reachable, so an item spanning several blocks is cut into pieces, one
+/// per block, each bound for its own destination.
+pub trait SplitRule<T> {
+    /// The destination of `item`'s first piece at a stage routing on bits
+    /// `[shift, ..)`, plus `Some((piece, rest))` if the item does not fit
+    /// one block (`None`: it crosses whole).
+    fn split_front(&self, shift: u32, item: &T) -> (usize, Option<(T, T)>);
+
+    /// Whether a fabric with `outputs` outputs can carry `item` at all.
+    fn admits(&self, item: &T, outputs: usize) -> bool;
+}
+
+/// The packet rule: a packet crosses every stage whole, bound for
+/// [`Packet::dest`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Whole;
+
+impl<T: Packet> SplitRule<T> for Whole {
+    #[inline]
+    fn split_front(&self, _shift: u32, item: &T) -> (usize, Option<(T, T)>) {
+        (item.dest(), None)
+    }
+
+    fn admits(&self, item: &T, outputs: usize) -> bool {
+        item.dest() < outputs
+    }
+}
+
+/// The packet rule has no parameters to record.
+impl Snapshot for Whole {
+    fn save(&self, _w: &mut SnapWriter) {}
+
+    fn load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        Ok(())
+    }
+}
+
+/// A cycle-accurate MDP-network over `T` items cut by the rule `R`.
 #[derive(Debug, Clone)]
-pub struct MdpNetwork<T> {
+pub struct MdpFabric<T, R> {
     topology: Topology,
+    rule: R,
     /// `fifos[stage][channel]`; the last stage's FIFOs are the outputs.
     fifos: Vec<Vec<Fifo<T>>>,
     stats: NetworkStats,
-    /// Cached packet count across all stage FIFOs: `in_flight` is O(1)
+    /// Cached item count across all stage FIFOs: `in_flight` is O(1)
     /// and an empty fabric's tick early-outs — both on the per-cycle hot
-    /// path. A tick conserves the count (packets only move between
-    /// stages); push/pop maintain it.
+    /// path. Every push, pop and cut piece maintains it.
     occupancy: usize,
     /// Per-stage occupancy bitmask ([`crate::maskbits`]): a tick visits
     /// only occupied channels instead of scanning the full width
@@ -31,7 +82,12 @@ pub struct MdpNetwork<T> {
     stage_mask: Vec<Vec<u64>>,
 }
 
-impl<T: Packet> MdpNetwork<T> {
+/// A cycle-accurate MDP-network over `T` packets.
+///
+/// Implements [`Network`]; see the crate docs for an example.
+pub type MdpNetwork<T> = MdpFabric<T, Whole>;
+
+impl<T: Packet> MdpFabric<T, Whole> {
     /// Builds the network from a generated topology with `fifo_capacity`
     /// entries per stage FIFO.
     ///
@@ -43,23 +99,8 @@ impl<T: Packet> MdpNetwork<T> {
     /// # Panics
     ///
     /// Panics if `fifo_capacity` is zero.
-    // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs and occupancy masks are allocated once per network
     pub fn new(topology: Topology, fifo_capacity: usize) -> Self {
-        let fifos = (0..topology.num_stages())
-            .map(|_| {
-                (0..topology.num_channels())
-                    .map(|_| Fifo::new(fifo_capacity))
-                    .collect()
-            })
-            .collect();
-        let words = mask_words(topology.num_channels());
-        MdpNetwork {
-            stage_mask: vec![vec![0u64; words]; topology.num_stages()],
-            topology,
-            fifos,
-            stats: NetworkStats::new(),
-            occupancy: 0,
-        }
+        MdpFabric::with_rule(topology, Whole, fifo_capacity)
     }
 
     /// Builds the network giving each channel a total buffer budget of
@@ -69,10 +110,39 @@ impl<T: Packet> MdpNetwork<T> {
         let per_stage = (entries_per_channel / topology.num_stages().max(1)).max(1);
         MdpNetwork::new(topology, per_stage)
     }
+}
+
+impl<T, R: SplitRule<T>> MdpFabric<T, R> {
+    /// Builds the fabric under `rule` with `fifo_capacity` (non-zero)
+    /// entries per stage FIFO.
+    // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs and occupancy masks are allocated once per network
+    pub(crate) fn with_rule(topology: Topology, rule: R, fifo_capacity: usize) -> Self {
+        let fifos = (0..topology.num_stages())
+            .map(|_| {
+                (0..topology.num_channels())
+                    .map(|_| Fifo::new(fifo_capacity))
+                    .collect()
+            })
+            .collect();
+        let words = mask_words(topology.num_channels());
+        MdpFabric {
+            stage_mask: vec![vec![0u64; words]; topology.num_stages()],
+            topology,
+            rule,
+            fifos,
+            stats: NetworkStats::new(),
+            occupancy: 0,
+        }
+    }
 
     /// The generated topology this network instantiates.
     pub fn topology(&self) -> &Topology {
         &self.topology
+    }
+
+    /// Number of input/output channels.
+    pub fn num_channels(&self) -> usize {
+        self.topology.num_channels()
     }
 
     /// Total buffer entries across all stage FIFOs.
@@ -84,16 +154,18 @@ impl<T: Packet> MdpNetwork<T> {
     }
 
     /// Whether the next tick can move nothing: every non-final-stage
-    /// head's target FIFO is full (final-stage packets only leave via
-    /// [`Network::pop`], the owner's concern). A wedged tick is pure
+    /// head's first piece targets a full FIFO (final-stage items only
+    /// leave via a pop, the owner's concern). A wedged tick is pure
     /// bookkeeping — the per-head HoL counts it accrues are committed in
     /// bulk by [`ClockedComponent::skip`]. Vacuously true when empty.
     pub fn is_wedged(&self) -> bool {
         let stages = self.topology.num_stages();
         for s in 0..stages.saturating_sub(1) {
+            let shift = self.topology.stage(s + 1).shift;
             for c in 0..self.topology.num_channels() {
                 if let Some(head) = self.fifos[s][c].peek() {
-                    let target = self.topology.next_channel(s + 1, c, head.dest());
+                    let (dest, _) = self.rule.split_front(shift, head);
+                    let target = self.topology.next_channel(s + 1, c, dest);
                     if !self.fifos[s + 1][target].is_full() {
                         return false;
                     }
@@ -116,62 +188,122 @@ impl<T: Packet> MdpNetwork<T> {
     pub fn commit_rejected(&mut self, count: u64) {
         self.stats.rejected += count;
     }
-}
 
-impl<T: Packet> Network<T> for MdpNetwork<T> {
-    fn num_inputs(&self) -> usize {
-        self.topology.num_channels()
-    }
-
-    fn num_outputs(&self) -> usize {
-        self.topology.num_channels()
-    }
-
-    fn can_accept(&self, input: usize, packet: &T) -> bool {
-        let target = self.topology.next_channel(0, input, packet.dest());
-        !self.fifos[0][target].is_full()
-    }
-
-    fn push(&mut self, input: usize, packet: T) -> Result<(), T> {
-        debug_assert!(packet.dest() < self.num_outputs(), "dest out of range");
-        let target = self.topology.next_channel(0, input, packet.dest());
-        match self.fifos[0][target].push(packet) {
-            Ok(()) => {
-                self.stats.accepted += 1;
-                self.occupancy += 1;
-                mask_set(&mut self.stage_mask[0], target);
-                Ok(())
+    /// Whether input `input` can take every piece of `item` this cycle.
+    pub(crate) fn accepts(&self, input: usize, item: &T) -> bool {
+        let shift = self.topology.stage(0).shift;
+        let (mut dest, mut split) = self.rule.split_front(shift, item);
+        loop {
+            let target = self.topology.next_channel(0, input, dest);
+            if self.fifos[0][target].is_full() {
+                return false;
             }
-            Err(p) => {
-                self.stats.rejected += 1;
-                Err(p)
+            match split {
+                None => return true,
+                Some((_, rest)) => (dest, split) = self.rule.split_front(shift, &rest),
             }
         }
     }
 
-    fn peek(&self, output: usize) -> Option<&T> {
+    /// Offers `item` at input `input`: all of its stage-0 pieces enter,
+    /// or none does and the item comes back.
+    pub(crate) fn offer(&mut self, input: usize, item: T) -> Result<(), T> {
+        debug_assert!(
+            self.rule.admits(&item, self.topology.num_channels()),
+            "item the fabric cannot carry"
+        );
+        if !self.accepts(input, &item) {
+            self.stats.rejected += 1;
+            return Err(item);
+        }
+        self.stats.accepted += 1;
+        let shift = self.topology.stage(0).shift;
+        let mut next = Some(item);
+        while let Some(item) = next.take() {
+            let (dest, split) = self.rule.split_front(shift, &item);
+            let piece = match split {
+                Some((piece, rest)) => {
+                    next = Some(rest);
+                    piece
+                }
+                None => item,
+            };
+            let target = self.topology.next_channel(0, input, dest);
+            self.fifos[0][target]
+                .push(piece)
+                // lint:allow(panic-freedom): push cannot fail: `accepts` checked every piece's target for space
+                .unwrap_or_else(|_| unreachable!("space checked by accepts"));
+            mask_set(&mut self.stage_mask[0], target);
+            self.occupancy += 1;
+        }
+        Ok(())
+    }
+
+    /// The item presented at output `output`, if any.
+    pub(crate) fn head(&self, output: usize) -> Option<&T> {
         self.fifos[self.topology.num_stages() - 1][output].peek()
     }
 
-    fn pop(&mut self, output: usize) -> Option<T> {
-        let p = self.fifos[self.topology.num_stages() - 1][output].pop();
-        if p.is_some() {
-            self.stats.delivered += 1;
-            self.occupancy -= 1;
-            let last = self.topology.num_stages() - 1;
-            if self.fifos[last][output].is_empty() {
-                mask_clear(&mut self.stage_mask[last], output);
-            }
+    /// Consumes the item presented at output `output`.
+    pub(crate) fn take(&mut self, output: usize) -> Option<T> {
+        let last = self.topology.num_stages() - 1;
+        let item = self.fifos[last][output].pop()?;
+        self.stats.delivered += 1;
+        self.occupancy -= 1;
+        if self.fifos[last][output].is_empty() {
+            mask_clear(&mut self.stage_mask[last], output);
         }
-        p
+        Some(item)
     }
 
-    fn stats(&self) -> &NetworkStats {
+    /// Cumulative statistics.
+    pub(crate) fn counters(&self) -> &NetworkStats {
         &self.stats
     }
 }
 
-impl<T: Packet> ClockedComponent for MdpNetwork<T> {
+impl<T: Packet> Network<T> for MdpNetwork<T> {
+    fn num_inputs(&self) -> usize {
+        self.num_channels()
+    }
+
+    fn num_outputs(&self) -> usize {
+        self.num_channels()
+    }
+
+    fn can_accept(&self, input: usize, packet: &T) -> bool {
+        self.accepts(input, packet)
+    }
+
+    fn push(&mut self, input: usize, packet: T) -> Result<(), T> {
+        self.offer(input, packet)
+    }
+
+    fn peek(&self, output: usize) -> Option<&T> {
+        self.head(output)
+    }
+
+    fn pop(&mut self, output: usize) -> Option<T> {
+        self.take(output)
+    }
+
+    fn stats(&self) -> &NetworkStats {
+        self.counters()
+    }
+}
+
+impl<T, R: SplitRule<T>> ClockedComponent for MdpFabric<T, R> {
+    /// Moves each non-final-stage head one stage on, deepest stage first
+    /// so freshly freed slots are usable by the stage above (standard
+    /// pipeline register behaviour), and an item advances at most one
+    /// stage per tick.
+    ///
+    /// A head that spans several target blocks moves piece by piece in
+    /// ascending order while their targets have space; the head shrinks
+    /// in place to the remainder (skid-buffer behaviour of the 2W2R
+    /// module). Without independent piece movement, sibling-FIFO
+    /// coupling would let output stages starve while the fabric is
+    /// congested.
     fn tick(&mut self) {
         self.stats.cycles += 1;
         if self.occupancy == 0 {
@@ -179,35 +311,49 @@ impl<T: Packet> ClockedComponent for MdpNetwork<T> {
             return;
         }
         let stages = self.topology.num_stages();
-        // Move heads from stage s into stage s+1, processing the deepest
-        // stage first so freshly freed slots are usable by the stage above
-        // (standard pipeline register behaviour), and a packet advances at
-        // most one stage per tick.
         for s in (0..stages.saturating_sub(1)).rev() {
-            for w in 0..self.stage_mask[s].len() {
+            let shift = self.topology.stage(s + 1).shift;
+            let (upper, lower) = self.fifos.split_at_mut(s + 1);
+            let (here, next) = (&mut upper[s], &mut lower[0]);
+            let (upper, lower) = self.stage_mask.split_at_mut(s + 1);
+            let (here_mask, next_mask) = (&mut upper[s], &mut lower[0]);
+            for w in 0..here_mask.len() {
                 // Snapshot the word: pops this stage only clear bits we
                 // already visited, pushes land in stage s+1.
-                let mut bits = self.stage_mask[s][w];
+                let mut bits = here_mask[w];
                 while bits != 0 {
                     let c = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    // lint:allow(panic-freedom): infallible: the occupancy mask guarantees this channel has a head
-                    let head = self.fifos[s][c].peek().expect("masked channel has a head");
-                    let target = self.topology.next_channel(s + 1, c, head.dest());
-                    if self.fifos[s + 1][target].is_full() {
-                        self.stats.hol_blocked += 1;
-                        continue;
+                    loop {
+                        // lint:allow(panic-freedom): infallible: the occupancy mask guarantees this channel has a head, and a cut leaves the remainder in place
+                        let head = here[c].peek().expect("masked channel has a head");
+                        let (dest, split) = self.rule.split_front(shift, head);
+                        let target = self.topology.next_channel(s + 1, c, dest);
+                        if next[target].is_full() {
+                            self.stats.hol_blocked += 1;
+                            break;
+                        }
+                        mask_set(next_mask, target);
+                        let Some((piece, rest)) = split else {
+                            // lint:allow(panic-freedom): infallible: the pop follows the peek above on the same channel
+                            let item = here[c].pop().expect("peeked head exists");
+                            next[target]
+                                .push(item)
+                                // lint:allow(panic-freedom): push cannot fail: the target's space was checked before the transfer
+                                .unwrap_or_else(|_| unreachable!("target checked for space"));
+                            if here[c].is_empty() {
+                                mask_clear(here_mask, c);
+                            }
+                            break;
+                        };
+                        // lint:allow(panic-freedom): infallible: the peek above proved this head exists; peek_mut revisits the same slot
+                        *here[c].peek_mut().expect("head exists") = rest;
+                        next[target]
+                            .push(piece)
+                            // lint:allow(panic-freedom): push cannot fail: the target's space was checked before the transfer
+                            .unwrap_or_else(|_| unreachable!("target checked for space"));
+                        self.occupancy += 1;
                     }
-                    // lint:allow(panic-freedom): infallible: the pop follows the masked peek above on the same channel
-                    let pkt = self.fifos[s][c].pop().expect("peeked head exists");
-                    self.fifos[s + 1][target]
-                        .push(pkt)
-                        // lint:allow(panic-freedom): push cannot fail: the target's space was checked before the transfer
-                        .unwrap_or_else(|_| unreachable!("target checked for space"));
-                    if self.fifos[s][c].is_empty() {
-                        mask_clear(&mut self.stage_mask[s], c);
-                    }
-                    mask_set(&mut self.stage_mask[s + 1], target);
                 }
             }
         }
@@ -225,57 +371,74 @@ impl<T: Packet> ClockedComponent for MdpNetwork<T> {
         self.occupancy
     }
 
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(self.stats)
-    }
-
     // `next_activity` keeps the default: only the owner (who knows the
     // consumer side) can prove a non-empty fabric inert, via
-    // `MdpNetwork::is_wedged`.
+    // `MdpFabric::is_wedged`.
 
     /// An idle tick over an empty *or wedged* fabric only advances the
     /// cycle counter and, when wedged, the per-head HoL counts.
     fn skip(&mut self, cycles: u64) {
         debug_assert!(
             cycles == 0 || self.is_wedged(),
-            "skip() on an MDP-network that can still move packets"
+            "skip() on an MDP-network that can still move items"
         );
         self.stats.cycles += cycles;
-        self.stats.hol_blocked += cycles * self.blocked_heads();
+        // The edge-access unit only ever skips its range network empty:
+        // keep that O(1) instead of scanning every stage for heads.
+        if self.occupancy > 0 {
+            self.stats.hol_blocked += cycles * self.blocked_heads();
+        }
     }
 }
 
-impl<T: higraph_sim::SnapValue> higraph_sim::Snapshot for MdpNetwork<T> {
-    fn save(&self, w: &mut higraph_sim::SnapWriter) {
+impl<T: SnapValue, R: SplitRule<T> + Snapshot> Snapshot for MdpFabric<T, R> {
+    fn save(&self, w: &mut SnapWriter) {
         w.tag(b"MDPN");
         w.usize(self.topology.num_stages());
         w.usize(self.topology.num_channels());
+        self.rule.save(w);
         self.stats.save(w);
         for stage in &self.fifos {
             stage[..].save(w);
         }
     }
 
-    fn load(&mut self, r: &mut higraph_sim::SnapReader<'_>) -> Result<(), higraph_sim::SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(b"MDPN")?;
         let stages = r.usize()?;
         let channels = r.usize()?;
         if stages != self.topology.num_stages() || channels != self.topology.num_channels() {
-            return Err(higraph_sim::SnapError::new(format!(
+            return Err(SnapError::new(format!(
                 "MDP-network shape mismatch: snapshot {stages}x{channels}, live {}x{}",
                 self.topology.num_stages(),
                 self.topology.num_channels()
             )));
         }
+        self.rule.load(r)?;
         self.stats.load(r)?;
         for stage in &mut self.fifos {
             stage[..].load(r)?;
         }
-        // Re-derive the occupancy count and per-stage masks.
+        // Refuse any item the fabric could not have put where it sits —
+        // one the rule cannot carry, one spanning several of its stage's
+        // blocks, one in a channel its destination is unreachable from —
+        // and re-derive the occupancy count and per-stage masks.
         self.occupancy = 0;
         for (s, stage) in self.fifos.iter().enumerate() {
+            let shift = self.topology.stage(s).shift;
             self.stage_mask[s].iter_mut().for_each(|word| *word = 0);
             for (c, fifo) in stage.iter().enumerate() {
+                for item in fifo.iter() {
+                    let fits = self.rule.admits(item, channels) && {
+                        let (dest, split) = self.rule.split_front(shift, item);
+                        split.is_none() && (c ^ dest) >> shift == 0
+                    };
+                    if !fits {
+                        return Err(SnapError::new(format!(
+                            "MDP-network stage {s} channel {c} holds an item it cannot carry"
+                        )));
+                    }
+                }
                 self.occupancy += fifo.len();
                 if !fifo.is_empty() {
                     mask_set(&mut self.stage_mask[s], c);

@@ -15,9 +15,11 @@
 //! 3. **Dispatcher** — a small terminal unit per output channel that fans a
 //!    final (narrow) range onto its group of consecutive banks.
 
-use crate::maskbits::{mask_clear, mask_set, mask_words};
+use crate::network::{MdpFabric, SplitRule};
 use crate::topology::Topology;
-use higraph_sim::{ClockedComponent, Fifo, NetworkStats};
+use higraph_sim::{
+    ClockedComponent, NetworkStats, SnapError, SnapReader, SnapValue, SnapWriter, Snapshot,
+};
 use std::fmt;
 
 /// A contiguous run of Edge Array entries, `[off, off + len)`, plus the
@@ -180,33 +182,57 @@ impl Dispatcher {
     }
 }
 
-/// The range-splitting MDP-network for Edge Array access.
-///
-/// Structurally identical to [`crate::MdpNetwork`] — `log2(n)` stages of
-/// per-channel FIFOs — but the payload is an [`EdgeRange`] and a head that
-/// spans two target ranges is split in flight. The destination key of a
-/// range is the *dispatcher group* of its first bank: with `m` banks and
-/// `n` channels, group `g` owns banks `[g·m/n, (g+1)·m/n)`.
-#[derive(Debug, Clone)]
-pub struct RangeMdpNetwork<P> {
-    topology: Topology,
-    num_banks: usize,
-    /// Banks per output channel (dispatcher width, `m / n`).
-    width: usize,
-    fifos: Vec<Vec<Fifo<EdgeRange<P>>>>,
-    stats: NetworkStats,
-    splits: u64,
-    /// Cached range count across all stage FIFOs: `in_flight` is O(1)
-    /// and an empty fabric's tick early-outs — both on the per-cycle hot
-    /// path. Unlike the packet network, a tick can *change* the count
-    /// (a moved head splits into pieces); every split site maintains it.
-    occupancy: usize,
-    /// Per-stage occupancy bitmask ([`crate::maskbits`]): a tick visits
-    /// only occupied channels instead of scanning the full width.
-    stage_mask: Vec<Vec<u64>>,
+/// The range rule (Sec. 4.2): with `m` banks and `n` channels, an
+/// [`EdgeRange`] is bound for the *dispatcher group* of its first bank
+/// (group `g` owns banks `[g·m/n, (g+1)·m/n)`), and a stage routing on bits
+/// `[shift, ..)` splits it at the boundaries of its `width << shift`-bank
+/// regions — the paper's `Off 4, Len 9 → (4,4)+(8,5)` example.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BankRegions {
+    num_banks: u64,
+    /// Banks per dispatcher (output channel), `m / n`.
+    width: u64,
 }
 
-impl<P: Copy> RangeMdpNetwork<P> {
+impl<P: Copy> SplitRule<EdgeRange<P>> for BankRegions {
+    #[inline]
+    fn split_front(
+        &self,
+        shift: u32,
+        range: &EdgeRange<P>,
+    ) -> (usize, Option<(EdgeRange<P>, EdgeRange<P>)>) {
+        let bank = range.off % self.num_banks;
+        let group = (bank / self.width) as usize;
+        let region = self.width << shift;
+        let room = region - bank % region;
+        if u64::from(range.len) <= room {
+            return (group, None);
+        }
+        let piece = EdgeRange {
+            len: room as u32,
+            ..*range
+        };
+        let rest = EdgeRange {
+            off: range.off + room,
+            len: range.len - room as u32,
+            payload: range.payload,
+        };
+        (group, Some((piece, rest)))
+    }
+
+    /// Non-empty ranges that do not wrap the bank interleaving (the
+    /// replay engine emits no other kind).
+    fn admits(&self, range: &EdgeRange<P>, _outputs: usize) -> bool {
+        range.len >= 1 && range.off % self.num_banks + u64::from(range.len) <= self.num_banks
+    }
+}
+
+/// The range-splitting MDP-network for Edge Array access: the one
+/// MDP-network model ([`MdpFabric`]) under the [`BankRegions`] rule.
+/// Output ranges lie entirely within the output's dispatcher group.
+pub type RangeMdpNetwork<P> = MdpFabric<EdgeRange<P>, BankRegions>;
+
+impl<P: Copy> MdpFabric<EdgeRange<P>, BankRegions> {
     /// Builds the network over `topology.num_channels()` channels serving
     /// `num_banks` edge banks, with `fifo_capacity` entries per stage FIFO.
     ///
@@ -226,128 +252,16 @@ impl<P: Copy> RangeMdpNetwork<P> {
                 num_channels: n,
             });
         }
-        // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs are allocated once per network
-        let fifos = (0..topology.num_stages())
-            .map(|_| (0..n).map(|_| Fifo::new(fifo_capacity)).collect())
-            .collect();
-        let words = mask_words(n);
-        // lint:allow-item(hot-path-alloc): construction-time: occupancy masks are allocated once per network
-        Ok(RangeMdpNetwork {
-            width: num_banks / n,
-            stage_mask: vec![vec![0u64; words]; topology.num_stages()],
-            topology,
-            num_banks,
-            fifos,
-            stats: NetworkStats::new(),
-            splits: 0,
-            occupancy: 0,
-        })
+        let rule = BankRegions {
+            num_banks: num_banks as u64,
+            width: (num_banks / n) as u64,
+        };
+        Ok(MdpFabric::with_rule(topology, rule, fifo_capacity))
     }
 
-    /// Number of input/output channels.
-    pub fn num_channels(&self) -> usize {
-        self.topology.num_channels()
-    }
-
-    /// Number of edge banks served.
-    pub fn num_banks(&self) -> usize {
-        self.num_banks
-    }
-
-    /// Banks per dispatcher (output channel).
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &NetworkStats {
-        &self.stats
-    }
-
-    /// Number of in-flight range splits performed so far.
-    pub fn splits(&self) -> u64 {
-        self.splits
-    }
-
-    /// First bank of `range` (must be non-wrapping).
-    fn first_bank(&self, range: &EdgeRange<P>) -> usize {
-        (range.off % self.num_banks as u64) as usize
-    }
-
-    /// The bank-region size a piece may still reach after routing by
-    /// `stage` (`target_range(stage)` dispatcher groups of `width` banks
-    /// each). Shift-based so mixed-radix topologies work too.
-    #[inline]
-    fn region_at(&self, stage: usize) -> u64 {
-        let region = self.width << self.topology.stage(stage).shift;
-        debug_assert!(region >= self.width);
-        region as u64
-    }
-
-    /// Visits the pieces of `range` split at `region`-sized bank
-    /// boundaries, in ascending bank order, without materializing them
-    /// (the per-cycle hot path splits every non-final-stage head).
-    /// Radix 2 yields at most two pieces — the paper's
-    /// `Off 4, Len 9 → (4,4)+(8,5)` example. Stops early when `f`
-    /// returns `false`.
-    #[inline]
-    fn for_each_piece(
-        region: u64,
-        num_banks: u64,
-        range: EdgeRange<P>,
-        mut f: impl FnMut(EdgeRange<P>) -> bool,
-    ) {
-        let b0 = range.off % num_banks;
-        let b_end = b0 + u64::from(range.len); // exclusive, non-wrapping
-        let mut cur = range.off;
-        let mut cur_bank = b0;
-        while cur_bank < b_end {
-            let boundary = (cur_bank / region + 1) * region;
-            let piece_end_bank = boundary.min(b_end);
-            let len = (piece_end_bank - cur_bank) as u32;
-            let piece = EdgeRange {
-                off: cur,
-                len,
-                payload: range.payload,
-            };
-            if !f(piece) {
-                return;
-            }
-            cur += u64::from(len);
-            cur_bank = piece_end_bank;
-        }
-    }
-
-    /// Splits `range` at the target-range boundaries of `stage`,
-    /// materialized ([`RangeMdpNetwork::for_each_piece`] is the
-    /// allocation-free hot-path form; this is for tests/diagnostics).
-    #[cfg(test)]
-    fn split_at_stage(&self, stage: usize, range: EdgeRange<P>) -> Vec<EdgeRange<P>> {
-        let mut pieces = Vec::with_capacity(2);
-        Self::for_each_piece(
-            self.region_at(stage),
-            self.num_banks as u64,
-            range,
-            |piece| {
-                pieces.push(piece);
-                true
-            },
-        );
-        pieces
-    }
-
-    /// Whether input `input` can accept `range` this cycle.
+    /// Whether input `input` can accept every piece of `range` this cycle.
     pub fn can_accept(&self, input: usize, range: &EdgeRange<P>) -> bool {
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
-        let mut ok = true;
-        Self::for_each_piece(self.region_at(0), num_banks, *range, |piece| {
-            let group = ((piece.off % num_banks) / width) as usize;
-            let t = self.topology.next_channel(0, input, group);
-            ok = !self.fifos[0][t].is_full();
-            ok
-        });
-        ok
+        self.accepts(input, range)
     }
 
     /// Offers `range` at input `input`, splitting it if it spans first
@@ -360,210 +274,60 @@ impl<P: Copy> RangeMdpNetwork<P> {
     ///
     /// # Panics
     ///
-    /// Panics (debug builds) if the range wraps the bank interleaving —
-    /// the replay engine guarantees this cannot happen.
+    /// Panics (debug builds) if the range is empty or wraps the bank
+    /// interleaving — the replay engine guarantees neither happens.
     pub fn push(&mut self, input: usize, range: EdgeRange<P>) -> Result<(), EdgeRange<P>> {
-        debug_assert!(range.len >= 1, "empty range");
-        debug_assert!(
-            self.first_bank(&range) as u64 + u64::from(range.len) <= self.num_banks as u64,
-            "range wraps the bank interleaving"
-        );
-        if !self.can_accept(input, &range) {
-            self.stats.rejected += 1;
-            return Err(range);
-        }
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
-        let region = self.region_at(0);
-        let topology = &self.topology;
-        let fifos = &mut self.fifos;
-        let stage0_mask = &mut self.stage_mask[0];
-        let mut pieces = 0u64;
-        Self::for_each_piece(region, num_banks, range, |piece| {
-            let group = ((piece.off % num_banks) / width) as usize;
-            let t = topology.next_channel(0, input, group);
-            fifos[0][t]
-                .push(piece)
-                // lint:allow(panic-freedom): push cannot fail: space was checked by can_accept before the transfer
-                .unwrap_or_else(|_| unreachable!("space checked by can_accept"));
-            mask_set(stage0_mask, t);
-            pieces += 1;
-            true
-        });
-        self.splits += pieces - 1;
-        self.occupancy += pieces as usize;
-        self.stats.accepted += 1;
-        Ok(())
+        self.offer(input, range)
     }
 
-    /// The range presented at output `output`, if any. Output ranges lie
-    /// entirely within the output's dispatcher group.
+    /// The range presented at output `output`, if any.
     pub fn peek(&self, output: usize) -> Option<&EdgeRange<P>> {
-        self.fifos[self.topology.num_stages() - 1][output].peek()
+        self.head(output)
     }
 
     /// Consumes the range presented at output `output`.
     pub fn pop(&mut self, output: usize) -> Option<EdgeRange<P>> {
-        let r = self.fifos[self.topology.num_stages() - 1][output].pop();
-        if r.is_some() {
-            self.stats.delivered += 1;
-            self.occupancy -= 1;
-            let last = self.topology.num_stages() - 1;
-            if self.fifos[last][output].is_empty() {
-                mask_clear(&mut self.stage_mask[last], output);
-            }
-        }
-        r
+        self.take(output)
     }
 
-    /// Advances one cycle: each non-final stage head is split (if needed)
-    /// and moved one stage toward its destination.
-    ///
-    /// When a head splits across two target FIFOs, the halves advance
-    /// *independently*: if only one target has space, that half moves and
-    /// the remainder shrinks in place (skid-buffer behaviour of the 2W2R
-    /// module). Without this, sibling-FIFO coupling would let output
-    /// stages starve while the fabric is congested.
-    pub fn tick(&mut self) {
-        self.stats.cycles += 1;
-        if self.occupancy == 0 {
-            // An empty fabric's tick is pure time-keeping.
-            return;
-        }
-        let stages = self.topology.num_stages();
-        let num_banks = self.num_banks as u64;
-        let width = self.width as u64;
-        for s in (0..stages.saturating_sub(1)).rev() {
-            let region = self.region_at(s + 1);
-            for w in 0..self.stage_mask[s].len() {
-                // Snapshot the word: pops this stage only clear bits we
-                // already visited, pushes land in stage s+1.
-                let mut bits = self.stage_mask[s][w];
-                while bits != 0 {
-                    let c = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // lint:allow(panic-freedom): infallible: the occupancy mask guarantees this channel has a head
-                    let head = *self.fifos[s][c].peek().expect("masked channel has a head");
-                    // Move a prefix of pieces (ascending bank order) while
-                    // their target FIFOs have space; the head shrinks in
-                    // place to the contiguous remainder (skid-buffer
-                    // behaviour of the 2W2R module). Without independent
-                    // piece movement, sibling-FIFO coupling would let
-                    // output stages starve while the fabric is congested.
-                    // Pieces are visited without materializing them (no
-                    // per-head allocation).
-                    let topology = &self.topology;
-                    let fifos = &mut self.fifos;
-                    let next_mask = &mut self.stage_mask[s + 1];
-                    let mut moved = 0usize;
-                    let mut blocked_at: Option<EdgeRange<P>> = None;
-                    Self::for_each_piece(region, num_banks, head, |piece| {
-                        let group = ((piece.off % num_banks) / width) as usize;
-                        let t = topology.next_channel(s + 1, c, group);
-                        if fifos[s + 1][t].is_full() {
-                            blocked_at = Some(piece);
-                            return false;
-                        }
-                        fifos[s + 1][t]
-                            .push(piece)
-                            // lint:allow(panic-freedom): push cannot fail: space was checked by can_accept before the transfer
-                            .unwrap_or_else(|_| unreachable!("space checked"));
-                        mask_set(next_mask, t);
-                        moved += 1;
-                        true
-                    });
-                    match blocked_at {
-                        None => {
-                            self.fifos[s][c].pop();
-                            if self.fifos[s][c].is_empty() {
-                                mask_clear(&mut self.stage_mask[s], c);
-                            }
-                            // popped one, pushed `moved` pieces
-                            self.occupancy += moved - 1;
-                            self.splits += moved as u64 - 1;
-                        }
-                        Some(first_kept) => {
-                            self.stats.hol_blocked += 1;
-                            if moved > 0 {
-                                let consumed = (first_kept.off - head.off) as u32;
-                                let rest = EdgeRange {
-                                    off: first_kept.off,
-                                    len: head.len - consumed,
-                                    payload: head.payload,
-                                };
-                                // lint:allow(panic-freedom): infallible: the masked peek above proved this head exists; peek_mut revisits the same slot
-                                *self.fifos[s][c].peek_mut().expect("head exists") = rest;
-                                self.occupancy += moved;
-                                self.splits += moved as u64;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Number of ranges currently inside the network.
-    pub fn in_flight(&self) -> usize {
-        debug_assert_eq!(
-            self.occupancy,
-            self.fifos
-                .iter()
-                .map(|st| st.iter().map(Fifo::len).sum::<usize>())
-                .sum::<usize>(),
-            "cached occupancy out of sync"
-        );
-        self.occupancy
-    }
-
-    /// Total edges covered by in-flight ranges.
-    pub fn pending_edges(&self) -> u64 {
-        self.fifos
-            .iter()
-            .flat_map(|st| st.iter())
-            .flat_map(|f| f.iter())
-            .map(|r| u64::from(r.len))
-            .sum()
+    /// Cumulative statistics.
+    pub fn stats(&self) -> &NetworkStats {
+        self.counters()
     }
 
     /// Whether the network holds no ranges.
     pub fn is_empty(&self) -> bool {
-        self.in_flight() == 0
+        self.is_drained()
     }
 }
 
-impl<P: Copy> ClockedComponent for RangeMdpNetwork<P> {
-    fn tick(&mut self) {
-        RangeMdpNetwork::tick(self);
+/// The range rule records its bank count: a restore into a fabric over
+/// other banks would route every held range differently.
+impl Snapshot for BankRegions {
+    fn save(&self, w: &mut SnapWriter) {
+        w.u64(self.num_banks);
     }
 
-    fn in_flight(&self) -> usize {
-        RangeMdpNetwork::in_flight(self)
-    }
-
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(*self.stats())
-    }
-
-    /// An idle tick over empty stage FIFOs only advances the cycle
-    /// counter.
-    fn skip(&mut self, cycles: u64) {
-        debug_assert!(
-            cycles == 0 || RangeMdpNetwork::in_flight(self) == 0,
-            "skip() on a range network holding ranges"
-        );
-        self.stats.cycles += cycles;
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let num_banks = r.u64()?;
+        if num_banks != self.num_banks {
+            return Err(SnapError::new(format!(
+                "range MDP-network bank mismatch: snapshot {num_banks}, live {}",
+                self.num_banks
+            )));
+        }
+        Ok(())
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for EdgeRange<P> {
-    fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
+impl<P: SnapValue> SnapValue for EdgeRange<P> {
+    fn save_value(&self, w: &mut SnapWriter) {
         w.u64(self.off);
         w.u32(self.len);
         self.payload.save_value(w);
     }
 
-    fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
+    fn load_value(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok(EdgeRange {
             off: r.u64()?,
             len: r.u32()?,
@@ -572,18 +336,18 @@ impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for EdgeRange<P> {
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for ReplayEngine<P> {
-    fn save(&self, w: &mut higraph_sim::SnapWriter) {
+impl<P: SnapValue> Snapshot for ReplayEngine<P> {
+    fn save(&self, w: &mut SnapWriter) {
         w.tag(b"RPLY");
         w.u64(self.num_banks);
         w.value(&self.current);
     }
 
-    fn load(&mut self, r: &mut higraph_sim::SnapReader<'_>) -> Result<(), higraph_sim::SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(b"RPLY")?;
         let num_banks = r.u64()?;
         if num_banks != self.num_banks {
-            return Err(higraph_sim::SnapError::new(format!(
+            return Err(SnapError::new(format!(
                 "replay engine bank mismatch: snapshot {num_banks}, live {}",
                 self.num_banks
             )));
@@ -593,63 +357,31 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for ReplayEngine<P> {
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for RangeMdpNetwork<P> {
-    fn save(&self, w: &mut higraph_sim::SnapWriter) {
-        w.tag(b"RMDP");
-        w.usize(self.topology.num_stages());
-        w.usize(self.topology.num_channels());
-        w.usize(self.num_banks);
-        w.u64(self.splits);
-        self.stats.save(w);
-        for stage in &self.fifos {
-            stage[..].save(w);
-        }
-    }
-
-    fn load(&mut self, r: &mut higraph_sim::SnapReader<'_>) -> Result<(), higraph_sim::SnapError> {
-        r.expect_tag(b"RMDP")?;
-        let stages = r.usize()?;
-        let channels = r.usize()?;
-        let num_banks = r.usize()?;
-        if stages != self.topology.num_stages()
-            || channels != self.topology.num_channels()
-            || num_banks != self.num_banks
-        {
-            return Err(higraph_sim::SnapError::new(format!(
-                "range MDP-network shape mismatch: snapshot {stages}x{channels} over \
-                 {num_banks} banks, live {}x{} over {}",
-                self.topology.num_stages(),
-                self.topology.num_channels(),
-                self.num_banks
-            )));
-        }
-        self.splits = r.u64()?;
-        self.stats.load(r)?;
-        for stage in &mut self.fifos {
-            stage[..].load(r)?;
-        }
-        // Re-derive the occupancy count and per-stage masks.
-        self.occupancy = 0;
-        for (s, stage) in self.fifos.iter().enumerate() {
-            self.stage_mask[s].iter_mut().for_each(|word| *word = 0);
-            for (c, fifo) in stage.iter().enumerate() {
-                self.occupancy += fifo.len();
-                if !fifo.is_empty() {
-                    mask_set(&mut self.stage_mask[s], c);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::Topology;
+    use higraph_sim::content_checksum;
 
     fn net(n: usize, m: usize, cap: usize) -> RangeMdpNetwork<u32> {
         RangeMdpNetwork::new(Topology::new(n, 2).unwrap(), m, cap).unwrap()
+    }
+
+    /// The pieces `rule` cuts `range` into at a stage routing on bits
+    /// `[shift, ..)`, in ascending bank order.
+    fn pieces(rule: &BankRegions, shift: u32, range: EdgeRange<u32>) -> Vec<EdgeRange<u32>> {
+        let mut out = Vec::new();
+        let mut next = Some(range);
+        while let Some(r) = next.take() {
+            match rule.split_front(shift, &r) {
+                (_, Some((piece, rest))) => {
+                    out.push(piece);
+                    next = Some(rest);
+                }
+                (_, None) => out.push(r),
+            }
+        }
+        out
     }
 
     #[test]
@@ -662,7 +394,11 @@ mod tests {
             len: 9,
             payload: 0u32,
         };
-        let pieces = n.split_at_stage(0, r);
+        let rule = BankRegions {
+            num_banks: 16,
+            width: 4,
+        };
+        let pieces = pieces(&rule, n.topology().stage(0).shift, r);
         assert_eq!(pieces.len(), 2);
         assert_eq!((pieces[0].off, pieces[0].len), (4, 4));
         assert_eq!((pieces[1].off, pieces[1].len), (8, 5));
@@ -787,7 +523,7 @@ mod tests {
     }
 
     #[test]
-    fn pending_edges_counts_in_flight() {
+    fn push_splits_a_range_spanning_the_first_boundary() {
         let mut n = net(4, 16, 8);
         n.push(
             1,
@@ -798,7 +534,55 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(n.pending_edges(), 10);
-        assert!(n.splits() >= 1); // 0..10 spans the mid boundary 8
+        // 0..10 spans the mid boundary 8: two pieces enter stage 0
+        assert_eq!(n.in_flight(), 2);
+        let mut edges = 0;
+        for _ in 0..8 {
+            for o in 0..4 {
+                edges += n.pop(o).map_or(0, |r| r.len);
+            }
+            n.tick();
+        }
+        assert_eq!(edges, 10);
+    }
+
+    #[test]
+    fn restore_refuses_an_empty_range() {
+        let range = EdgeRange {
+            off: 81,
+            len: 3,
+            payload: 0xDEAD_BEEFu32,
+        };
+        let mut n = net(4, 16, 8);
+        n.push(0, range).unwrap();
+        let mut w = SnapWriter::new();
+        n.save(&mut w);
+        let mut bytes = w.finish();
+        // zero the held range's `len` and re-seal the payload checksum
+        let mut encoded = Vec::new();
+        encoded.extend_from_slice(&range.off.to_le_bytes());
+        encoded.extend_from_slice(&range.len.to_le_bytes());
+        encoded.extend_from_slice(&range.payload.to_le_bytes());
+        let at = bytes
+            .windows(encoded.len())
+            .position(|w| w == encoded)
+            .expect("the held range is in the payload");
+        bytes[at + 8..at + 12].copy_from_slice(&0u32.to_le_bytes());
+        let checksum = content_checksum(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+
+        let mut restored = net(4, 16, 8);
+        let err = restored
+            .load(&mut SnapReader::open(&bytes).expect("header and checksum verify"))
+            .expect_err("an empty range is refused");
+        assert!(err.context.contains("cannot carry"), "{err}");
+        // the untouched snapshot still restores
+        let mut w = SnapWriter::new();
+        n.save(&mut w);
+        let clean = w.finish();
+        restored
+            .load(&mut SnapReader::open(&clean).expect("valid header"))
+            .expect("a well-formed snapshot restores");
+        assert_eq!(restored.in_flight(), 1);
     }
 }

@@ -60,7 +60,6 @@
 
 use crate::arbiter::OddEvenArbiter;
 use crate::control::DrainError;
-use crate::stats::NetworkStats;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -85,14 +84,6 @@ pub trait ClockedComponent {
     /// Whether the component holds no in-flight work.
     fn is_drained(&self) -> bool {
         self.in_flight() == 0
-    }
-
-    /// The component's cumulative fabric statistics, if it keeps any.
-    ///
-    /// This is the unified collection point: a driver can harvest stats
-    /// from any component mix without knowing the concrete fabric types.
-    fn network_stats(&self) -> Option<NetworkStats> {
-        None
     }
 
     /// How many upcoming cycles this component is guaranteed to stay
@@ -724,15 +715,5 @@ mod tests {
         assert!(a.has_priority(1), "odd parity after an odd skip");
         ClockedComponent::skip(&mut a, 2);
         assert!(a.has_priority(1), "even skip preserves parity");
-    }
-
-    #[test]
-    fn stats_collection_is_uniform() {
-        let mut net: CrossbarNetwork<TestPacket> = CrossbarNetwork::new(2, 2, 4);
-        net.push(0, TestPacket { dest: 0, tag: 1 }).unwrap();
-        let stats = ClockedComponent::network_stats(&net).expect("fabrics keep stats");
-        assert_eq!(stats.accepted, 1);
-        let fifo: Fifo<u32> = Fifo::new(1);
-        assert!(ClockedComponent::network_stats(&fifo).is_none());
     }
 }

@@ -202,10 +202,6 @@ impl<T: Packet> ClockedComponent for CrossbarNetwork<T> {
         self.occupancy
     }
 
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(self.stats)
-    }
-
     // `next_activity` keeps the default: only the owner (who knows the
     // consumer side) can prove a non-empty crossbar inert, via
     // `CrossbarNetwork::is_wedged`.

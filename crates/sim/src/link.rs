@@ -113,10 +113,6 @@ impl<T: Packet> ClockedComponent for InterChipLink<T> {
             + self.ingress.iter().map(VecDeque::len).sum::<usize>()
     }
 
-    fn network_stats(&self) -> Option<NetworkStats> {
-        Some(self.stats)
-    }
-
     /// Arrived packets are poppable now and queued egress serializes at
     /// the next tick; otherwise the earliest on-the-wire delivery bounds
     /// the idle window (`flight` is ordered by delivery time).

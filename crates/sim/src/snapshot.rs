@@ -43,8 +43,10 @@ use std::fmt;
 /// the sharded executor's chip event wheel from the `MCHP` layout;
 /// version 3 dropped the DRAM event wheel from the `DSYS` layout;
 /// version 4 dropped the packet arenas from the `FRNT` and `BACK`
-/// layouts, and in-flight packets now carry their payloads.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// layouts, and in-flight packets now carry their payloads; version 5
+/// folded the range MDP-network's `RMDP` record into the one `MDPN`
+/// record (the bank count follows the shape; the split counter is gone).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";

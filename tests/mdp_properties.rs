@@ -6,7 +6,8 @@
 //!   in exactly `log_radix(n)` hops;
 //! * the cycle-level network neither loses nor duplicates packets and
 //!   preserves per-flow FIFO order;
-//! * the range-splitting variant covers every requested edge exactly once;
+//! * the range-splitting variant covers every requested edge exactly once,
+//!   and with one bank per channel it is the packet network, pop for pop;
 //! * the replay engine's chunks tile `{Off, nOff}` without gaps/overlap.
 
 use higraph::mdp::{EdgeRange, MdpNetwork, RangeMdpNetwork, ReplayEngine, Topology};
@@ -197,6 +198,49 @@ proptest! {
         sorted_expected.sort_unstable();
         covered.sort_unstable();
         prop_assert_eq!(covered, sorted_expected);
+    }
+
+    #[test]
+    fn packet_network_is_the_one_piece_range_network(
+        log_n in 1usize..7,
+        radix in prop_oneof![Just(2usize), Just(4), Just(8), Just(64)],
+        cap in 1usize..4,
+        load in 1u64..5,
+        seed in 0u64..1000,
+    ) {
+        // One bank per channel: a one-edge range at bank `dest` is one
+        // piece bound for `dest` at every stage, exactly like a packet.
+        let n = 1 << log_n;
+        let topo = Topology::new_mixed(n, radix).expect("power-of-two channels");
+        let mut packets: MdpNetwork<P> = MdpNetwork::new(topo.clone(), cap);
+        let mut ranges: RangeMdpNetwork<u64> =
+            RangeMdpNetwork::new(topo, n, cap).expect("one bank per channel");
+        let mut rng = seed;
+        let mut tag = 0u64;
+        for _ in 0..300 {
+            for o in 0..n {
+                let got = ranges.pop(o).map(|r| (r.off % n as u64, r.len, r.payload));
+                prop_assert_eq!(packets.pop(o).map(|p| (o as u64, 1, p.tag)), got);
+            }
+            for input in 0..n {
+                rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if (rng >> 60) >= load * 4 {
+                    continue;
+                }
+                let dest = (rng >> 33) as usize % n;
+                let row = (rng >> 45) % 1000;
+                let range = EdgeRange { off: row * n as u64 + dest as u64, len: 1, payload: tag };
+                prop_assert_eq!(
+                    packets.push(input, P { dest, tag }).is_ok(),
+                    ranges.push(input, range).is_ok()
+                );
+                tag += 1;
+            }
+            packets.tick();
+            ranges.tick();
+            prop_assert_eq!(packets.stats(), ranges.stats());
+            prop_assert_eq!(packets.in_flight(), ranges.in_flight());
+        }
     }
 }
 

@@ -183,12 +183,7 @@ proptest! {
         prop_assert_eq!(got, count);
         // the fabric saw exactly the cycles the scheduler drove
         prop_assert_eq!(harness.net.stats().cycles, spent);
-        prop_assert_eq!(
-            ClockedComponent::network_stats(&harness.net)
-                .expect("fabric keeps stats")
-                .delivered,
-            count as u64
-        );
+        prop_assert_eq!(harness.net.stats().delivered, count as u64);
     }
 }
 
