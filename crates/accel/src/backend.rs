@@ -171,12 +171,13 @@ impl<P: Copy + 'static> ClockedComponent for BackEnd<P> {
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for BackEnd<P> {
+/// At a drained boundary the ePE queues are empty, so the record is the
+/// edge-access unit and the dataflow fabric.
+impl<P> higraph_sim::Snapshot for BackEnd<P> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"BACK");
         w.usize(self.epe_q.len());
         self.edge_access.save(w);
-        self.epe_q[..].save(w);
         self.dataflow.save(w);
     }
 
@@ -190,11 +191,7 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for BackEnd<P> {
             )));
         }
         self.edge_access.load(r)?;
-        self.epe_q[..].load(r)?;
-        self.dataflow.load(r)?;
-        // Per-cycle scratch is not state.
-        self.bank_reads.clear();
-        Ok(())
+        self.dataflow.load(r)
     }
 }
 

@@ -44,7 +44,7 @@
 //! arbitration stalls.
 
 use higraph_sim::dram::{DramSystem, MemoryStats};
-use higraph_sim::ClockedComponent;
+use higraph_sim::{ClockedComponent, SnapError, SnapReader, SnapWriter, Snapshot};
 use std::collections::BTreeSet;
 
 use crate::config::MemoryConfig;
@@ -465,40 +465,59 @@ impl ClockedComponent for MemorySubsystem {
     }
 }
 
-fn save_query(w: &mut higraph_sim::SnapWriter, slot: &Option<LineQuery>) {
+/// Records a query slot by its request key alone: at a drained boundary
+/// every slot is empty or holds a completed query, whose span follows
+/// from the key and whose own fetches were all consumed.
+fn save_query(w: &mut SnapWriter, slot: &Option<LineQuery>) {
     match slot {
         None => w.bool(false),
         Some(q) => {
+            debug_assert!(
+                q.next > q.last && q.fetched.is_empty(),
+                "a checkpoint holds an incomplete cache query"
+            );
             w.bool(true);
             w.u64(q.key.0);
             w.u64(q.key.1);
-            w.u64(q.last);
-            w.u64(q.next);
-            w.seq(q.fetched.iter());
         }
     }
 }
 
-fn load_query(
-    r: &mut higraph_sim::SnapReader<'_>,
-) -> Result<Option<LineQuery>, higraph_sim::SnapError> {
+/// Restores a slot as the completed query of its recorded key, deriving
+/// the span over `line_bytes`-byte lines with checked arithmetic: a key
+/// no request can produce (zero bytes, or a span past the address space)
+/// is refused.
+fn load_query(r: &mut SnapReader<'_>, line_bytes: u64) -> Result<Option<LineQuery>, SnapError> {
     if !r.bool()? {
         return Ok(None);
     }
-    let key = (r.u64()?, r.u64()?);
-    let last = r.u64()?;
-    let next = r.u64()?;
-    let fetched: Vec<u64> = r.seq(u32::MAX as usize)?;
+    let (base, bytes) = (r.u64()?, r.u64()?);
+    let (last, next) = bytes
+        .checked_sub(1)
+        .and_then(|extent| base.checked_add(extent))
+        .map(|end| end / line_bytes)
+        .and_then(|last| Some((last, last.checked_add(1)?)))
+        .ok_or_else(|| {
+            SnapError::new(format!(
+                "cache query key (base {base}, {bytes} bytes) spans no valid line range"
+            ))
+        })?;
     Ok(Some(LineQuery {
-        key,
+        key: (base, bytes),
         last,
         next,
-        fetched: fetched.into_iter().collect(),
+        fetched: BTreeSet::new(),
     }))
 }
 
-impl higraph_sim::Snapshot for MemorySubsystem {
-    fn save(&self, w: &mut higraph_sim::SnapWriter) {
+/// At a drained boundary DRAM holds no request and the MSHR set is
+/// empty; what outlives it is the cache's tags and counters, each DRAM
+/// channel's record, and the completed query keys: a completed query
+/// stays in its slot until a different request replaces it, so the next
+/// iteration's first ask of the same request is answered from the slot,
+/// with no residency check and no hit counted.
+impl Snapshot for MemorySubsystem {
+    fn save(&self, w: &mut SnapWriter) {
         w.tag(b"MSUB");
         match &self.inner {
             None => w.bool(false),
@@ -511,19 +530,14 @@ impl higraph_sim::Snapshot for MemorySubsystem {
                 w.u64(m.stats.misses);
                 m.tags.save(w);
                 m.dram.save(w);
-                w.seq(m.mshr.iter());
-                w.seq(m.arrived.iter());
-                for q in &m.edge_q {
-                    save_query(w, q);
-                }
-                for q in &m.offset_q {
+                for q in m.edge_q.iter().chain(&m.offset_q) {
                     save_query(w, q);
                 }
             }
         }
     }
 
-    fn load(&mut self, r: &mut higraph_sim::SnapReader<'_>) -> Result<(), higraph_sim::SnapError> {
+    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(b"MSUB")?;
         let modeled = r.bool()?;
         match (modeled, &mut self.inner) {
@@ -534,7 +548,7 @@ impl higraph_sim::Snapshot for MemorySubsystem {
                 let channels = r.usize()?;
                 if lines != m.tags.len() || line_bytes != m.line_bytes || channels != m.edge_q.len()
                 {
-                    return Err(higraph_sim::SnapError::new(format!(
+                    return Err(SnapError::new(format!(
                         "memory subsystem shape mismatch: snapshot {lines} lines x \
                          {line_bytes} B over {channels} channels, live {} x {} over {}",
                         m.tags.len(),
@@ -546,19 +560,12 @@ impl higraph_sim::Snapshot for MemorySubsystem {
                 m.stats.misses = r.u64()?;
                 m.tags.load(r)?;
                 m.dram.load(r)?;
-                let mshr: Vec<u64> = r.seq(u32::MAX as usize)?;
-                m.mshr = mshr.into_iter().collect();
-                let arrived: Vec<u64> = r.seq(u32::MAX as usize)?;
-                m.arrived = arrived.into_iter().collect();
-                for q in &mut m.edge_q {
-                    *q = load_query(r)?;
-                }
-                for q in &mut m.offset_q {
-                    *q = load_query(r)?;
+                for q in m.edge_q.iter_mut().chain(&mut m.offset_q) {
+                    *q = load_query(r, line_bytes)?;
                 }
                 Ok(())
             }
-            _ => Err(higraph_sim::SnapError::new(
+            _ => Err(SnapError::new(
                 "memory-model mismatch: snapshot and live subsystem disagree on modeled memory",
             )),
         }
@@ -706,5 +713,36 @@ mod tests {
     #[test]
     fn hit_rate_guards_zero() {
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn restored_query_keys_answer_without_recounting_and_bad_keys_are_refused() {
+        // A drained subsystem whose channel-0 edge query completed.
+        let mut mem = MemorySubsystem::modeled(&small_config(64), 1);
+        drive_until_ready(&mut mem, 0, 0, 4);
+        let stats = mem.cache_stats();
+        let mut w = SnapWriter::new();
+        mem.save(&mut w);
+        let bytes = w.finish();
+        let mut restored = MemorySubsystem::modeled(&small_config(64), 1);
+        restored
+            .load(&mut SnapReader::open(&bytes).expect("valid header"))
+            .expect("restores");
+        // The restored key answers its next ask as complete: no hit for
+        // the now-resident line is counted, as in the saved subsystem.
+        assert!(restored.edges_ready(0, 0, 4));
+        assert_eq!(restored.cache_stats(), stats);
+
+        // Keys no request can produce fail with an error, not a query.
+        for (base, bytes) in [(0, 0), (u64::MAX, 2)] {
+            let mut w = SnapWriter::new();
+            w.bool(true);
+            w.u64(base);
+            w.u64(bytes);
+            let sealed = w.finish();
+            let mut r = SnapReader::open(&sealed).expect("valid header");
+            let err = load_query(&mut r, 64).expect_err("refused");
+            assert!(err.context.contains("spans no valid line range"), "{err}");
+        }
     }
 }

@@ -289,7 +289,10 @@ impl<P: Copy> ClockedComponent for EdgeAccess<P> {
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for EdgeAccess<P> {
+/// At a drained boundary the range network and the direct unit's queues
+/// are empty: the MDP variant records its fabric, the direct one its
+/// arbitration pointer and counters.
+impl<P> higraph_sim::Snapshot for EdgeAccess<P> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"EDGA");
         match self {
@@ -298,7 +301,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for EdgeAccess<P> {
                 net.save(w);
             }
             EdgeAccess::Direct {
-                queues,
                 num_banks,
                 next,
                 stats,
@@ -308,7 +310,6 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for EdgeAccess<P> {
                 w.usize(*num_banks);
                 w.usize(*next);
                 stats.save(w);
-                queues[..].save(w);
             }
         }
     }
@@ -317,11 +318,7 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for EdgeAccess<P> {
         r.expect_tag(b"EDGA")?;
         let variant = r.u8()?;
         match (variant, self) {
-            (0, EdgeAccess::Mdp { net, used, .. }) => {
-                net.load(r)?;
-                used.iter_mut().for_each(|u| *u = false);
-                Ok(())
-            }
+            (0, EdgeAccess::Mdp { net, .. }) => net.load(r),
             (
                 1,
                 EdgeAccess::Direct {
@@ -345,9 +342,7 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for EdgeAccess<P> {
                     )));
                 }
                 *next = pointer;
-                stats.load(r)?;
-                queues[..].load(r)?;
-                Ok(())
+                stats.load(r)
             }
             (v @ (0 | 1), _) => Err(higraph_sim::SnapError::new(format!(
                 "edge-access variant mismatch: snapshot variant {v} does not match live unit"

@@ -298,9 +298,9 @@ impl<P: Copy + 'static> ClockedComponent for ScatterPipeline<P> {
     }
 }
 
-/// One chip's complete microarchitectural state: front-end, back-end,
-/// and the memory path, in pipeline order.
-impl<P: SnapValue + 'static> Snapshot for ScatterPipeline<P> {
+/// One chip's state that outlives a drained iteration boundary:
+/// front-end, back-end, and the memory path, in pipeline order.
+impl<P> Snapshot for ScatterPipeline<P> {
     fn save(&self, w: &mut SnapWriter) {
         w.tag(b"PIPE");
         self.front.save(w);
@@ -1026,20 +1026,24 @@ mod tests {
         // A payload edited and then re-sealed passes the checksum, so
         // the loads themselves must refuse a stored length no payload
         // can hold, instead of allocating it.
+        use crate::config::MemoryConfig;
         let g = power_law(300, 2700, 2.0, 31, 73);
         let prog = Sssp::from_source(higraph_graph::stats::hub_vertex(&g).expect("non-empty").0);
+        let mut cfg = AcceleratorConfig::higraph();
+        cfg.memory = Some(MemoryConfig::hbm2().with_cache_kb(16));
         let control = RunControl::new();
         control.set_budget_cycles(Some(1));
-        let mut engine = Engine::new(AcceleratorConfig::higraph(), &g);
+        let mut engine = Engine::new(cfg, &g);
         let RunOutcome::Parked(parked) = engine.run_controlled(&prog, &control).expect("no stall")
         else {
             panic!("the run must park");
         };
+        // The cache's tag array is the checkpoint's one `VECT` sequence.
         let mut bytes = parked.bytes;
         let at = bytes
             .windows(4)
-            .position(|w| w == b"DEQE")
-            .expect("a parked pipeline holds queues")
+            .position(|w| w == b"VECT")
+            .expect("a modeled cache records its tags")
             + 4;
         bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
         let checksum = higraph_sim::content_checksum(&bytes[24..]);

@@ -346,17 +346,16 @@ impl<P: Copy + 'static> ClockedComponent for FrontEnd<P> {
     }
 }
 
-impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for FrontEnd<P> {
+/// At a drained boundary the ActiveVertex parts, the staging queues, the
+/// Replay Engines and their skid buffers are empty, so the record is the
+/// offset fabric and the two arbitration states.
+impl<P> higraph_sim::Snapshot for FrontEnd<P> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"FRNT");
         w.usize(self.av_parts.len());
         w.bool(self.mdp_offset);
         w.usize(self.offset_rr);
-        self.av_parts[..].save(w);
         self.offset_net.save(w);
-        self.offset_q[..].save(w);
-        self.replay[..].save(w);
-        self.replay_out.save(w);
         self.odd_even.save(w);
     }
 
@@ -379,15 +378,8 @@ impl<P: higraph_sim::SnapValue> higraph_sim::Snapshot for FrontEnd<P> {
             )));
         }
         self.offset_rr = offset_rr;
-        self.av_parts[..].load(r)?;
         self.offset_net.load(r)?;
-        self.offset_q[..].load(r)?;
-        self.replay[..].load(r)?;
-        self.replay_out.load(r)?;
-        self.odd_even.load(r)?;
-        // Per-cycle scratch is not state.
-        self.issue_order.clear();
-        Ok(())
+        self.odd_even.load(r)
     }
 }
 

@@ -295,7 +295,7 @@ impl NetworkFactory {
     }
 }
 
-impl<T: higraph_sim::SnapValue + Packet> higraph_sim::Snapshot for AnyNetwork<T> {
+impl<T> higraph_sim::Snapshot for AnyNetwork<T> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"ANET");
         match self {

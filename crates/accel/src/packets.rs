@@ -53,48 +53,3 @@ pub struct PendingEdge<P> {
     /// The source vertex's property.
     pub u_prop: P,
 }
-
-impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for VertexPacket<P> {
-    fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.u);
-        w.u32(self.dest);
-        self.prop.save_value(w);
-    }
-    fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(VertexPacket {
-            u: r.u32()?,
-            dest: r.u32()?,
-            prop: P::load_value(r)?,
-        })
-    }
-}
-
-impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for ImmPacket<P> {
-    fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.v);
-        w.u32(self.dest);
-        self.imm.save_value(w);
-    }
-    fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(ImmPacket {
-            v: r.u32()?,
-            dest: r.u32()?,
-            imm: P::load_value(r)?,
-        })
-    }
-}
-
-impl<P: higraph_sim::SnapValue> higraph_sim::SnapValue for PendingEdge<P> {
-    fn save_value(&self, w: &mut higraph_sim::SnapWriter) {
-        w.u32(self.dst);
-        w.u32(self.weight);
-        self.u_prop.save_value(w);
-    }
-    fn load_value(r: &mut higraph_sim::SnapReader<'_>) -> Result<Self, higraph_sim::SnapError> {
-        Ok(PendingEdge {
-            dst: r.u32()?,
-            weight: r.u32()?,
-            u_prop: P::load_value(r)?,
-        })
-    }
-}

@@ -128,19 +128,6 @@ impl Packet for ShardPacket {
     }
 }
 
-impl SnapValue for ShardPacket {
-    fn save_value(&self, w: &mut SnapWriter) {
-        w.usize(self.src_chip);
-        w.usize(self.dst_chip);
-    }
-    fn load_value(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(ShardPacket {
-            src_chip: r.usize()?,
-            dst_chip: r.usize()?,
-        })
-    }
-}
-
 /// The per-run multi-chip state: P chip pipelines plus the staged link.
 /// Each drains on its own in a scatter phase; the phase ends when the
 /// last of them has.
@@ -155,7 +142,9 @@ impl<P: Copy + 'static> MultiChip<P> {
     }
 }
 
-impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
+/// At a drained boundary nothing is staged and the link is empty, so the
+/// record is the chips and the link's clock and counters.
+impl<P> Snapshot for MultiChip<P> {
     fn save(&self, w: &mut SnapWriter) {
         w.tag(b"MCHP");
         w.usize(self.chips.len());
@@ -163,9 +152,6 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
             chip.save(w);
         }
         self.link.link.save(w);
-        for row in &self.link.staged {
-            row.save(w);
-        }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -180,11 +166,7 @@ impl<P: SnapValue + 'static> Snapshot for MultiChip<P> {
         for chip in &mut self.chips {
             chip.load(r)?;
         }
-        self.link.link.load(r)?;
-        for row in &mut self.link.staged {
-            row.load(r)?;
-        }
-        Ok(())
+        self.link.link.load(r)
     }
 }
 
@@ -806,7 +788,7 @@ impl<'g> ShardedEngine<'g> {
         Ok(
             match self.drive(program, &self.intervals, Some(control), &mut st)? {
                 Stop::Done => RunOutcome::Done(finish_result(st)),
-                Stop::Park => RunOutcome::Parked(self.save_checkpoint(&st)),
+                Stop::Park => RunOutcome::Parked(self.save_checkpoint(&st, program.identity())),
                 Stop::Cancel => RunOutcome::Cancelled,
             },
         )
@@ -853,8 +835,24 @@ impl<'g> ShardedEngine<'g> {
 
     /// Serializes a boundary state: identity context (graph hash,
     /// canonical configuration encoding, shard geometry) followed by the
-    /// run variables and the full multi-chip composite.
-    fn save_checkpoint<P: SnapValue + 'static>(&self, st: &ShardedRunState<P>) -> Checkpoint {
+    /// run variables and the multi-chip composite. A boundary is fully
+    /// drained — no chip or link holds work, nothing is staged, and the
+    /// apply phase has reset every tProperty to `identity` — so none of
+    /// that is written: a restore starts from a fresh state, which
+    /// already holds it.
+    fn save_checkpoint<P: SnapValue + PartialEq + 'static>(
+        &self,
+        st: &ShardedRunState<P>,
+        identity: P,
+    ) -> Checkpoint {
+        debug_assert!(
+            st.multi.is_drained(),
+            "a checkpoint is taken with every chip and the link drained"
+        );
+        debug_assert!(
+            st.t_props.iter().all(|&t| t == identity),
+            "a checkpoint is taken with every tProperty at the identity"
+        );
         let mut w = SnapWriter::new();
         w.tag(b"SHRC");
         w.u64(self.graph.content_hash());
@@ -875,7 +873,6 @@ impl<'g> ShardedEngine<'g> {
             w.u32(v.0);
         }
         w.seq(st.properties.iter());
-        w.seq(st.t_props.iter());
         st.multi.save(&mut w);
         Checkpoint {
             bytes: w.finish(),
@@ -884,8 +881,9 @@ impl<'g> ShardedEngine<'g> {
         }
     }
 
-    /// Restores a checkpoint over a freshly initialized state, verifying
-    /// the identity context first.
+    /// Restores a checkpoint over a freshly initialized state — whose
+    /// queues are empty and whose tProperty array is the identity, as at
+    /// the boundary it was taken — verifying the identity context first.
     fn load_checkpoint<P: SnapValue + 'static>(
         &self,
         st: &mut ShardedRunState<P>,
@@ -946,14 +944,6 @@ impl<'g> ShardedEngine<'g> {
             )));
         }
         st.properties = properties;
-        let t_props: Vec<P> = r.seq(num_v)?;
-        if t_props.len() != num_v {
-            return Err(SnapError::new(format!(
-                "tProperty array length {} does not match vertex count {num_v}",
-                t_props.len()
-            )));
-        }
-        st.t_props = t_props;
         st.multi.load(&mut r)?;
         r.expect_exhausted()
     }

@@ -18,8 +18,8 @@
 use crate::maskbits::{mask_clear, mask_set, mask_words};
 use crate::topology::Topology;
 use higraph_sim::{
-    ClockedComponent, Fifo, Network, NetworkStats, Packet, SnapError, SnapReader, SnapValue,
-    SnapWriter, Snapshot,
+    ClockedComponent, Fifo, Network, NetworkStats, Packet, SnapError, SnapReader, SnapWriter,
+    Snapshot,
 };
 
 /// How an item crosses a stage: the one thing the fabric's instances
@@ -52,15 +52,6 @@ impl<T: Packet> SplitRule<T> for Whole {
 
     fn admits(&self, item: &T, outputs: usize) -> bool {
         item.dest() < outputs
-    }
-}
-
-/// The packet rule has no parameters to record.
-impl Snapshot for Whole {
-    fn save(&self, _w: &mut SnapWriter) {}
-
-    fn load(&mut self, _r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        Ok(())
     }
 }
 
@@ -391,16 +382,15 @@ impl<T, R: SplitRule<T>> ClockedComponent for MdpFabric<T, R> {
     }
 }
 
-impl<T: SnapValue, R: SplitRule<T> + Snapshot> Snapshot for MdpFabric<T, R> {
+/// At a drained boundary every stage FIFO is empty, so the record is the
+/// shape and the counters; a fresh fabric already has the empty FIFOs,
+/// occupancy and masks, and the rule's parameters are configuration.
+impl<T, R> Snapshot for MdpFabric<T, R> {
     fn save(&self, w: &mut SnapWriter) {
         w.tag(b"MDPN");
         w.usize(self.topology.num_stages());
         w.usize(self.topology.num_channels());
-        self.rule.save(w);
         self.stats.save(w);
-        for stage in &self.fifos {
-            stage[..].save(w);
-        }
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -414,38 +404,7 @@ impl<T: SnapValue, R: SplitRule<T> + Snapshot> Snapshot for MdpFabric<T, R> {
                 self.topology.num_channels()
             )));
         }
-        self.rule.load(r)?;
-        self.stats.load(r)?;
-        for stage in &mut self.fifos {
-            stage[..].load(r)?;
-        }
-        // Refuse any item the fabric could not have put where it sits —
-        // one the rule cannot carry, one spanning several of its stage's
-        // blocks, one in a channel its destination is unreachable from —
-        // and re-derive the occupancy count and per-stage masks.
-        self.occupancy = 0;
-        for (s, stage) in self.fifos.iter().enumerate() {
-            let shift = self.topology.stage(s).shift;
-            self.stage_mask[s].iter_mut().for_each(|word| *word = 0);
-            for (c, fifo) in stage.iter().enumerate() {
-                for item in fifo.iter() {
-                    let fits = self.rule.admits(item, channels) && {
-                        let (dest, split) = self.rule.split_front(shift, item);
-                        split.is_none() && (c ^ dest) >> shift == 0
-                    };
-                    if !fits {
-                        return Err(SnapError::new(format!(
-                            "MDP-network stage {s} channel {c} holds an item it cannot carry"
-                        )));
-                    }
-                }
-                self.occupancy += fifo.len();
-                if !fifo.is_empty() {
-                    mask_set(&mut self.stage_mask[s], c);
-                }
-            }
-        }
-        Ok(())
+        self.stats.load(r)
     }
 }
 

@@ -17,9 +17,7 @@
 
 use crate::network::{MdpFabric, SplitRule};
 use crate::topology::Topology;
-use higraph_sim::{
-    ClockedComponent, NetworkStats, SnapError, SnapReader, SnapValue, SnapWriter, Snapshot,
-};
+use higraph_sim::{ClockedComponent, NetworkStats};
 use std::fmt;
 
 /// A contiguous run of Edge Array entries, `[off, off + len)`, plus the
@@ -301,67 +299,10 @@ impl<P: Copy> MdpFabric<EdgeRange<P>, BankRegions> {
     }
 }
 
-/// The range rule records its bank count: a restore into a fabric over
-/// other banks would route every held range differently.
-impl Snapshot for BankRegions {
-    fn save(&self, w: &mut SnapWriter) {
-        w.u64(self.num_banks);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let num_banks = r.u64()?;
-        if num_banks != self.num_banks {
-            return Err(SnapError::new(format!(
-                "range MDP-network bank mismatch: snapshot {num_banks}, live {}",
-                self.num_banks
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl<P: SnapValue> SnapValue for EdgeRange<P> {
-    fn save_value(&self, w: &mut SnapWriter) {
-        w.u64(self.off);
-        w.u32(self.len);
-        self.payload.save_value(w);
-    }
-
-    fn load_value(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(EdgeRange {
-            off: r.u64()?,
-            len: r.u32()?,
-            payload: P::load_value(r)?,
-        })
-    }
-}
-
-impl<P: SnapValue> Snapshot for ReplayEngine<P> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"RPLY");
-        w.u64(self.num_banks);
-        w.value(&self.current);
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"RPLY")?;
-        let num_banks = r.u64()?;
-        if num_banks != self.num_banks {
-            return Err(SnapError::new(format!(
-                "replay engine bank mismatch: snapshot {num_banks}, live {}",
-                self.num_banks
-            )));
-        }
-        self.current = r.value()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::Topology;
-    use higraph_sim::content_checksum;
 
     fn net(n: usize, m: usize, cap: usize) -> RangeMdpNetwork<u32> {
         RangeMdpNetwork::new(Topology::new(n, 2).unwrap(), m, cap).unwrap()
@@ -544,45 +485,5 @@ mod tests {
             n.tick();
         }
         assert_eq!(edges, 10);
-    }
-
-    #[test]
-    fn restore_refuses_an_empty_range() {
-        let range = EdgeRange {
-            off: 81,
-            len: 3,
-            payload: 0xDEAD_BEEFu32,
-        };
-        let mut n = net(4, 16, 8);
-        n.push(0, range).unwrap();
-        let mut w = SnapWriter::new();
-        n.save(&mut w);
-        let mut bytes = w.finish();
-        // zero the held range's `len` and re-seal the payload checksum
-        let mut encoded = Vec::new();
-        encoded.extend_from_slice(&range.off.to_le_bytes());
-        encoded.extend_from_slice(&range.len.to_le_bytes());
-        encoded.extend_from_slice(&range.payload.to_le_bytes());
-        let at = bytes
-            .windows(encoded.len())
-            .position(|w| w == encoded)
-            .expect("the held range is in the payload");
-        bytes[at + 8..at + 12].copy_from_slice(&0u32.to_le_bytes());
-        let checksum = content_checksum(&bytes[24..]);
-        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
-
-        let mut restored = net(4, 16, 8);
-        let err = restored
-            .load(&mut SnapReader::open(&bytes).expect("header and checksum verify"))
-            .expect_err("an empty range is refused");
-        assert!(err.context.contains("cannot carry"), "{err}");
-        // the untouched snapshot still restores
-        let mut w = SnapWriter::new();
-        n.save(&mut w);
-        let clean = w.finish();
-        restored
-            .load(&mut SnapReader::open(&clean).expect("valid header"))
-            .expect("a well-formed snapshot restores");
-        assert_eq!(restored.in_flight(), 1);
     }
 }

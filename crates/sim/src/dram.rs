@@ -563,27 +563,21 @@ impl crate::snapshot::Snapshot for MemoryStats {
     }
 }
 
+/// At a drained boundary the request queue, the banks' services and the
+/// ready list are empty (so the cached next-event state is its fresh
+/// value too): the clock, the open rows, the brown-out flag and the
+/// counters are all that outlive it.
 impl crate::snapshot::Snapshot for MemoryChannel {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
         w.tag(b"MCHN");
         w.usize(self.banks.len());
         w.usize(self.queue_depth);
         w.u64(self.now);
-        w.u64(self.min_done_at);
-        w.bool(self.issue_quiet);
         w.bool(self.paused);
         self.stats.save(w);
-        w.usize(self.queue.len());
-        for req in &self.queue {
-            w.u64(req.line);
-            w.usize(req.bank);
-            w.u64(req.row);
-        }
         for bank in &self.banks {
             w.value(&bank.open_row);
-            w.value(&bank.service.map(|s| (s.line, s.done_at)));
         }
-        self.ready.save(w);
     }
 
     fn load(
@@ -602,38 +596,11 @@ impl crate::snapshot::Snapshot for MemoryChannel {
             )));
         }
         self.now = r.u64()?;
-        self.min_done_at = r.u64()?;
-        self.issue_quiet = r.bool()?;
         self.paused = r.bool()?;
         self.stats.load(r)?;
-        let queued = r.usize()?;
-        if queued > self.queue_depth {
-            return Err(crate::snapshot::SnapError::new(format!(
-                "memory channel queue {queued} exceeds depth {}",
-                self.queue_depth
-            )));
-        }
-        self.queue.clear();
-        for _ in 0..queued {
-            let line = r.u64()?;
-            let bank = r.usize()?;
-            let row = r.u64()?;
-            if bank >= self.banks.len() {
-                return Err(crate::snapshot::SnapError::new(format!(
-                    "queued request bank {bank} out of range"
-                )));
-            }
-            self.queue.push_back(Request { line, bank, row });
-        }
         for bank in &mut self.banks {
             bank.open_row = r.value()?;
-            bank.service = r
-                .value::<Option<(u64, u64)>>()?
-                .map(|(line, done_at)| Service { line, done_at });
         }
-        self.ready.load(r)?;
-        // Per-tick scratch is not state.
-        self.issued.iter_mut().for_each(|b| *b = false);
         Ok(())
     }
 }

@@ -181,15 +181,14 @@ impl<T: Packet> Network<T> for InterChipLink<T> {
     }
 }
 
-impl<T: crate::snapshot::SnapValue> crate::snapshot::Snapshot for InterChipLink<T> {
+/// At a drained boundary the egress queues, the wire and the ingress
+/// queues are empty, so only the clock and the counters outlive it.
+impl<T> crate::snapshot::Snapshot for InterChipLink<T> {
     fn save(&self, w: &mut crate::snapshot::SnapWriter) {
         w.tag(b"LINK");
         w.usize(self.egress.len());
         w.u64(self.now);
         self.stats.save(w);
-        self.egress[..].save(w);
-        self.flight.save(w);
-        self.ingress[..].save(w);
     }
 
     fn load(
@@ -205,11 +204,7 @@ impl<T: crate::snapshot::SnapValue> crate::snapshot::Snapshot for InterChipLink<
             )));
         }
         self.now = r.u64()?;
-        self.stats.load(r)?;
-        self.egress[..].load(r)?;
-        self.flight.load(r)?;
-        self.ingress[..].load(r)?;
-        Ok(())
+        self.stats.load(r)
     }
 }
 

@@ -1,10 +1,13 @@
 //! Cycle-exact state serialization (`docs/robustness.md`).
 //!
-//! Every stateful [`crate::ClockedComponent`] implements [`Snapshot`]:
-//! a dependency-free flat-binary encoding with a versioned, checksummed
-//! header, so an engine can persist its complete microarchitectural
-//! state at a committed cycle boundary and later restore it into a
-//! bit-identical continuation — same cycles, same metrics, on any host.
+//! Stateful components implement [`Snapshot`]: a dependency-free
+//! flat-binary encoding with a versioned, checksummed header. An engine
+//! parks only at a committed iteration boundary, where every queue,
+//! fabric and memory request has drained, so a component records only
+//! what outlives that drain — counters, clocks, rotating pointers,
+//! cache tags, DRAM row buffers — and a restore into a freshly built
+//! instance continues bit-identically: same cycles, same metrics, on
+//! any host.
 //!
 //! # Wire format
 //!
@@ -19,23 +22,22 @@
 //! ```
 //!
 //! The payload is a concatenation of little-endian scalars framed by
-//! four-byte ASCII tags (`b"FIFO"`, `b"DRAM"`, …). Tags carry no length
+//! four-byte ASCII tags (`b"MDPN"`, `b"DSYS"`, …). Tags carry no length
 //! information — they exist so a corrupted or version-skewed stream
 //! fails with a precise [`SnapError`] at the first divergent component
 //! instead of silently misinterpreting bytes.
 //!
 //! # Load-into contract
 //!
-//! [`Snapshot::load`] restores state *into an existing structure* that
-//! was rebuilt from the same configuration and graph. Structural
-//! parameters (capacities, channel counts, latencies) are not
-//! serialized; loads verify the structure matches (e.g. a FIFO checks
-//! its capacity) and reject mismatches. This keeps snapshots small and
-//! makes a restore against the wrong configuration a diagnosable error,
-//! never a corrupt continuation.
+//! [`Snapshot::load`] restores state *into a fresh structure* built from
+//! the same configuration and graph, whose queues are empty — exactly
+//! the drained state the snapshot was taken in. Structural parameters
+//! (capacities, channel counts, latencies) are not serialized; loads
+//! verify the structure matches (e.g. a crossbar checks its shape) and
+//! reject mismatches. This keeps snapshots small and makes a restore
+//! against the wrong configuration a diagnosable error, never a corrupt
+//! continuation.
 
-use crate::fifo::Fifo;
-use std::collections::VecDeque;
 use std::fmt;
 
 /// Current snapshot wire-format version. Bump on any layout change;
@@ -46,7 +48,10 @@ use std::fmt;
 /// layouts, and in-flight packets now carry their payloads; version 5
 /// folded the range MDP-network's `RMDP` record into the one `MDPN`
 /// record (the bank count follows the shape; the split counter is gone).
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Version 6 writes only what outlives a drained iteration boundary: no
+/// queue, flight, MSHR or replay contents, no staged link counts and no
+/// tProperty array, and a cache query slot keeps only its request key.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Leading magic of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"HGSN";
@@ -407,7 +412,7 @@ impl<'a> SnapReader<'a> {
 }
 
 /// A plain-old-data value with an exact binary encoding — the element
-/// type of serialized queues, in-flight packets and buffers.
+/// type of serialized sequences (properties, counters, cache tags).
 pub trait SnapValue: Copy {
     /// Appends this value's encoding to the writer.
     fn save_value(&self, w: &mut SnapWriter);
@@ -538,57 +543,12 @@ pub trait Snapshot {
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// The bounded FIFO serializes its occupancy through the public API, so
-/// the queue's audited `unsafe` interior stays untouched by snapshot
-/// code (`higraph-lint` forbids `unsafe` in snapshot paths).
-impl<T: SnapValue> Snapshot for Fifo<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"FIFO");
-        w.usize(self.capacity());
-        w.seq(ExactLen(self.iter(), self.len()));
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"FIFO")?;
-        let capacity = r.usize()?;
-        if capacity != self.capacity() {
-            return Err(SnapError::new(format!(
-                "FIFO capacity mismatch: snapshot {capacity}, live {}",
-                self.capacity()
-            )));
-        }
-        let items: Vec<T> = r.seq(capacity)?;
-        self.clear();
-        for item in items {
-            if self.push(item).is_err() {
-                return Err(SnapError::new("FIFO overflow during restore"));
-            }
-        }
-        Ok(())
-    }
-}
-
-impl<T: SnapValue> Snapshot for VecDeque<T> {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"DEQE");
-        w.seq(ExactLen(self.iter(), self.len()));
-    }
-
-    fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"DEQE")?;
-        let items: Vec<T> = r.seq(usize::MAX)?;
-        self.clear();
-        self.extend(items);
-        Ok(())
-    }
-}
-
 /// A `Vec` restores in place: lengths must match the live structure
 /// (they are sized by configuration and graph shape, not by traffic).
 impl<T: SnapValue> Snapshot for Vec<T> {
     fn save(&self, w: &mut SnapWriter) {
         w.tag(b"VECT");
-        w.seq(ExactLen(self.iter(), self.len()));
+        w.seq(self.iter());
     }
 
     fn load(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -618,26 +578,6 @@ impl<C: Snapshot> Snapshot for [C] {
             c.load(r)?;
         }
         Ok(())
-    }
-}
-
-/// Adapter giving any iterator an exact length for [`SnapWriter::seq`].
-struct ExactLen<I>(I, usize);
-
-impl<I: Iterator> Iterator for ExactLen<I> {
-    type Item = I::Item;
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.0.next();
-        if item.is_some() {
-            self.1 -= 1;
-        }
-        item
-    }
-}
-
-impl<I: Iterator> ExactSizeIterator for ExactLen<I> {
-    fn len(&self) -> usize {
-        self.1
     }
 }
 
@@ -677,14 +617,16 @@ mod tests {
             .context
             .contains("magic"));
 
-        // a previous and a future version
-        for version in [1u32, 99] {
+        // the previous version, an older one and a future one
+        for version in [1u32, SNAPSHOT_VERSION - 1, 99] {
             let mut skewed = bytes.clone();
             skewed[4..8].copy_from_slice(&version.to_le_bytes());
             assert!(SnapReader::open(&skewed)
                 .unwrap_err()
                 .context
-                .contains(&format!("version {version} unsupported")));
+                .contains(&format!(
+                    "version {version} unsupported (this build reads {SNAPSHOT_VERSION})"
+                )));
         }
 
         // truncation
@@ -693,53 +635,19 @@ mod tests {
     }
 
     #[test]
-    fn fifo_round_trips_contents_and_rejects_capacity_mismatch() {
-        let mut fifo: Fifo<u64> = Fifo::new(8);
-        fifo.push(3).unwrap();
-        fifo.push(9).unwrap();
-        fifo.pop();
-        fifo.push(27).unwrap(); // wrapped occupancy: [9, 27]
-        let mut w = SnapWriter::new();
-        fifo.save(&mut w);
-        let bytes = w.finish();
-
-        let mut restored: Fifo<u64> = Fifo::new(8);
-        restored.push(999).unwrap(); // stale state must be cleared
-        let mut r = SnapReader::open(&bytes).unwrap();
-        restored.load(&mut r).expect("loads");
-        assert_eq!(restored.len(), 2);
-        assert_eq!(restored.pop(), Some(9));
-        assert_eq!(restored.pop(), Some(27));
-
-        let mut wrong: Fifo<u64> = Fifo::new(4);
-        let mut r = SnapReader::open(&bytes).unwrap();
-        assert!(wrong.load(&mut r).unwrap_err().context.contains("capacity"));
-    }
-
-    #[test]
-    fn vecdeque_and_vec_round_trip() {
-        let mut dq: VecDeque<(u64, u32)> = VecDeque::new();
-        dq.push_back((7, 1));
-        dq.push_back((8, 2));
+    fn vec_round_trips_and_rejects_a_length_mismatch() {
         let v: Vec<u64> = vec![10, 20, 30];
         let mut w = SnapWriter::new();
-        dq.save(&mut w);
         v.save(&mut w);
         let bytes = w.finish();
 
-        let mut dq2: VecDeque<(u64, u32)> = VecDeque::from(vec![(0, 0)]);
         let mut v2: Vec<u64> = vec![0; 3];
         let mut r = SnapReader::open(&bytes).unwrap();
-        dq2.load(&mut r).unwrap();
         v2.load(&mut r).unwrap();
-        assert_eq!(dq2, dq);
         assert_eq!(v2, v);
 
         // a Vec with a different live length is a structural mismatch
         let mut wrong: Vec<u64> = vec![0; 2];
-        let mut w = SnapWriter::new();
-        v.save(&mut w);
-        let bytes = w.finish();
         let mut r = SnapReader::open(&bytes).unwrap();
         assert!(wrong.load(&mut r).unwrap_err().context.contains("length"));
     }
@@ -747,13 +655,13 @@ mod tests {
     #[test]
     fn sequence_longer_than_the_payload_fails_before_allocating() {
         let mut w = SnapWriter::new();
-        w.tag(b"DEQE");
+        w.tag(b"VECT");
         w.u64(1 << 40); // a re-sealed corrupt length: 8 TiB of u64s
         w.u64(7);
         let bytes = w.finish();
-        let mut dq: VecDeque<u64> = VecDeque::new();
+        let mut v: Vec<u64> = vec![0; 1];
         let mut r = SnapReader::open(&bytes).unwrap();
-        let err = dq.load(&mut r).unwrap_err();
+        let err = v.load(&mut r).unwrap_err();
         assert!(err.context.contains("payload bytes left"), "{err}");
     }
 

@@ -27,12 +27,14 @@
 //!
 //! The third section proves the cycle-exact checkpoint/restore
 //! contract (`docs/robustness.md`): at a randomized cycle budget the
-//! serial and sharded engines park into a serialized checkpoint, and a
-//! fresh engine restored from those bytes must finish with properties
-//! and [`Metrics`] bit-identical to an uninterrupted run — across the
-//! memory model on/off and fast-forward on/off. Serial and one-chip
-//! checkpoints are the same bytes, and the retired serial format is
-//! rejected by its tag.
+//! serial and sharded engines park BFS, SSSP, WCC or PageRank into a
+//! serialized checkpoint, and a fresh engine restored from those bytes
+//! must finish with properties and [`Metrics`] bit-identical to an
+//! uninterrupted run — across the memory model on/off and fast-forward
+//! on/off. A run parked at every boundary, each resume in a fresh
+//! engine, must end where the uninterrupted one does. Serial and
+//! one-chip checkpoints are the same bytes, and the retired serial
+//! format is rejected by its tag.
 //!
 //! The final section drives a [`DramSystem`] fast-forwarded the way
 //! `Scheduler::drain_with` does against one ticked every cycle: under
@@ -356,6 +358,32 @@ proptest! {
     }
 }
 
+/// Binds `$prog` to one of the programs the checkpoint properties draw
+/// from — BFS, SSSP, WCC or 4-iteration PageRank, rooted at `$src` —
+/// and evaluates `$body` with it.
+macro_rules! with_program {
+    ($idx:expr, $src:expr, |$prog:ident| $body:block) => {
+        match $idx {
+            0 => {
+                let $prog = Bfs::from_source($src);
+                $body
+            }
+            1 => {
+                let $prog = Sssp::from_source($src);
+                $body
+            }
+            2 => {
+                let $prog = Wcc::new();
+                $body
+            }
+            _ => {
+                let $prog = PageRank::new(4);
+                $body
+            }
+        }
+    };
+}
+
 /// Early-exit failure for outcome-shape mismatches the `prop_assert*!`
 /// macros cannot express (wrong enum variant).
 fn fail(msg: &str) -> proptest::test_runner::TestCaseError {
@@ -378,13 +406,13 @@ proptest! {
         num_v in 48u32..140,
         edge_factor in 4u32..9,
         seed in 0u64..1_000,
+        prog_idx in 0usize..4,
         mem_idx in 0usize..2,
         fast in proptest::bool::ANY,
         budget_pct in 1u64..100,
     ) {
         let g = higraph::graph::gen::erdos_renyi(num_v, u64::from(num_v * edge_factor), 31, seed);
         let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
-        let prog = Bfs::from_source(src);
         let mut cfg = AcceleratorConfig::higraph_mini();
         cfg.memory = memory_variants()[mem_idx];
         let fresh = || {
@@ -392,52 +420,54 @@ proptest! {
             engine.set_fast_forward(fast);
             engine
         };
+        with_program!(prog_idx, src, |prog| {
+            let reference = fresh().run(&prog).expect("no stall");
 
-        let reference = fresh().run(&prog).expect("no stall");
+            // Unbudgeted controlled run: completes, bit-identical to `run`.
+            let outcome = fresh()
+                .run_controlled(&prog, &RunControl::new())
+                .expect("no stall");
+            let RunOutcome::Done(done) = outcome else {
+                return Err(fail("unbudgeted run must complete"));
+            };
+            prop_assert_eq!(&done.properties, &reference.properties);
+            prop_assert_eq!(&done.metrics, &reference.metrics);
 
-        // Unbudgeted controlled run: completes, bit-identical to `run`.
-        let outcome = fresh()
-            .run_controlled(&prog, &RunControl::new())
-            .expect("no stall");
-        let RunOutcome::Done(done) = outcome else {
-            return Err(fail("unbudgeted run must complete"));
-        };
-        prop_assert_eq!(&done.properties, &reference.properties);
-        prop_assert_eq!(&done.metrics, &reference.metrics);
-
-        // Budgeted run parks at a committed boundary once the randomized
-        // budget is spent; the restored continuation must be exact. A
-        // budget landing past the last boundary legitimately completes
-        // instead — then the result itself must already be exact.
-        let budget = (reference.metrics.cycles * budget_pct / 100).max(1);
-        let control = RunControl::new();
-        control.set_budget_cycles(Some(budget));
-        match fresh().run_controlled(&prog, &control).expect("no stall") {
-            RunOutcome::Parked(ck) => {
-                prop_assert!(
-                    ck.cycles < reference.metrics.cycles,
-                    "parked at cycle {} but the full run only takes {}",
-                    ck.cycles,
-                    reference.metrics.cycles
-                );
-                let resumed = match fresh()
-                    .resume_controlled(&prog, &RunControl::new(), &ck.bytes)
-                    .expect("checkpoint must restore")
-                {
-                    RunOutcome::Done(r) => r,
-                    _ => return Err(fail("resume must complete")),
-                };
-                prop_assert_eq!(&resumed.properties, &reference.properties);
-                prop_assert_eq!(&resumed.metrics, &reference.metrics);
+            // Budgeted run parks at a committed boundary once the
+            // randomized budget is spent; the restored continuation must
+            // be exact. A budget landing past the last boundary
+            // legitimately completes instead — then the result itself
+            // must already be exact.
+            let budget = (reference.metrics.cycles * budget_pct / 100).max(1);
+            let control = RunControl::new();
+            control.set_budget_cycles(Some(budget));
+            match fresh().run_controlled(&prog, &control).expect("no stall") {
+                RunOutcome::Parked(ck) => {
+                    prop_assert!(
+                        ck.cycles < reference.metrics.cycles,
+                        "parked at cycle {} but the full run only takes {}",
+                        ck.cycles,
+                        reference.metrics.cycles
+                    );
+                    let resumed = match fresh()
+                        .resume_controlled(&prog, &RunControl::new(), &ck.bytes)
+                        .expect("checkpoint must restore")
+                    {
+                        RunOutcome::Done(r) => r,
+                        _ => return Err(fail("resume must complete")),
+                    };
+                    prop_assert_eq!(&resumed.properties, &reference.properties);
+                    prop_assert_eq!(&resumed.metrics, &reference.metrics);
+                }
+                RunOutcome::Done(done) => {
+                    prop_assert_eq!(&done.properties, &reference.properties);
+                    prop_assert_eq!(&done.metrics, &reference.metrics);
+                }
+                RunOutcome::Cancelled => {
+                    return Err(fail("nobody requested a cancel"));
+                }
             }
-            RunOutcome::Done(done) => {
-                prop_assert_eq!(&done.properties, &reference.properties);
-                prop_assert_eq!(&done.metrics, &reference.metrics);
-            }
-            RunOutcome::Cancelled => {
-                return Err(fail("nobody requested a cancel"));
-            }
-        }
+        })
     }
 
     /// The same round-trip on the multi-chip engine: a parked
@@ -450,13 +480,13 @@ proptest! {
         edge_factor in 4u32..9,
         seed in 0u64..1_000,
         chips in 2usize..5,
+        prog_idx in 0usize..4,
         mem_idx in 0usize..2,
         fast in proptest::bool::ANY,
         budget_pct in 1u64..100,
     ) {
         let g = higraph::graph::gen::erdos_renyi(num_v, u64::from(num_v * edge_factor), 31, seed);
         let src = higraph::graph::stats::hub_vertex(&g).expect("non-empty").0;
-        let prog = Bfs::from_source(src);
         let mut cfg = AcceleratorConfig::higraph_mini();
         cfg.memory = memory_variants()[mem_idx];
         let fresh = || {
@@ -464,37 +494,98 @@ proptest! {
             engine.set_fast_forward(fast);
             engine
         };
+        with_program!(prog_idx, src, |prog| {
+            let reference = fresh().run(&prog).expect("no stall");
 
-        let reference = fresh().run(&prog).expect("no stall");
+            let budget = (reference.metrics.cycles * budget_pct / 100).max(1);
+            let control = RunControl::new();
+            control.set_budget_cycles(Some(budget));
+            match fresh().run_controlled(&prog, &control).expect("no stall") {
+                RunOutcome::Parked(ck) => {
+                    let resumed = match fresh()
+                        .resume_controlled(&prog, &RunControl::new(), &ck.bytes)
+                        .expect("checkpoint must restore")
+                    {
+                        RunOutcome::Done(r) => r,
+                        _ => return Err(fail("resume must complete")),
+                    };
+                    prop_assert_eq!(&resumed.properties, &reference.properties);
+                    prop_assert_eq!(&resumed.metrics, &reference.metrics);
+                    prop_assert_eq!(&resumed.chips, &reference.chips);
+                    prop_assert_eq!(&resumed.link, &reference.link);
+                    prop_assert_eq!(resumed.cross_chip_packets, reference.cross_chip_packets);
+                }
+                RunOutcome::Done(done) => {
+                    prop_assert_eq!(&done.properties, &reference.properties);
+                    prop_assert_eq!(&done.metrics, &reference.metrics);
+                    prop_assert_eq!(&done.chips, &reference.chips);
+                }
+                RunOutcome::Cancelled => {
+                    return Err(fail("nobody requested a cancel"));
+                }
+            }
+        })
+    }
+}
 
-        let budget = (reference.metrics.cycles * budget_pct / 100).max(1);
-        let control = RunControl::new();
-        control.set_budget_cycles(Some(budget));
-        match fresh().run_controlled(&prog, &control).expect("no stall") {
+/// Runs a controlled program to completion, parking at every committed
+/// iteration boundary and resuming each time in a fresh engine:
+/// `start(control, None)` runs a new engine, `start(control,
+/// Some(bytes))` resumes one. Returns the result and the park count.
+fn park_at_every_boundary(
+    start: impl Fn(&RunControl, Option<&[u8]>) -> RunOutcome<RunResult<u64>>,
+) -> (RunResult<u64>, usize) {
+    let control = RunControl::new();
+    control.set_budget_cycles(Some(1));
+    let mut outcome = start(&control, None);
+    let mut parks = 0;
+    loop {
+        match outcome {
+            RunOutcome::Done(result) => return (result, parks),
             RunOutcome::Parked(ck) => {
-                let resumed = match fresh()
-                    .resume_controlled(&prog, &RunControl::new(), &ck.bytes)
-                    .expect("checkpoint must restore")
-                {
-                    RunOutcome::Done(r) => r,
-                    _ => return Err(fail("resume must complete")),
-                };
-                prop_assert_eq!(&resumed.properties, &reference.properties);
-                prop_assert_eq!(&resumed.metrics, &reference.metrics);
-                prop_assert_eq!(&resumed.chips, &reference.chips);
-                prop_assert_eq!(&resumed.link, &reference.link);
-                prop_assert_eq!(resumed.cross_chip_packets, reference.cross_chip_packets);
+                parks += 1;
+                control.set_budget_cycles(Some(ck.cycles + 1));
+                outcome = start(&control, Some(&ck.bytes));
             }
-            RunOutcome::Done(done) => {
-                prop_assert_eq!(&done.properties, &reference.properties);
-                prop_assert_eq!(&done.metrics, &reference.metrics);
-                prop_assert_eq!(&done.chips, &reference.chips);
-            }
-            RunOutcome::Cancelled => {
-                return Err(fail("nobody requested a cancel"));
-            }
+            RunOutcome::Cancelled => panic!("nobody requested a cancel"),
         }
     }
+}
+
+#[test]
+fn parking_at_every_boundary_matches_the_uninterrupted_run() {
+    // Under the small memory model a completed cache query stays in its
+    // slot across a boundary, and the next iteration's first ask of the
+    // same request is answered from it; the checkpoint keeps the query's
+    // key, so a restore answers that ask the same way and no cycle moves.
+    let g = higraph::graph::gen::erdos_renyi(12, 40, 7, 3);
+    let mut cfg = AcceleratorConfig::higraph();
+    cfg.memory = memory_variants()[1];
+    let prog = Wcc::new();
+
+    let reference = Engine::new(cfg.clone(), &g).run(&prog).expect("no stall");
+    let (serial, parks) = park_at_every_boundary(|control, checkpoint| {
+        let mut engine = Engine::new(cfg.clone(), &g);
+        match checkpoint {
+            None => engine.run_controlled(&prog, control).expect("no stall"),
+            Some(bytes) => engine
+                .resume_controlled(&prog, control, bytes)
+                .expect("checkpoint must restore"),
+        }
+    });
+    assert!(parks >= 2, "the serial run parked {parks} times");
+    assert_eq!(serial, reference, "serial");
+
+    let sharded = || ShardedEngine::new(cfg.clone(), ShardConfig::new(4), &g);
+    let reference = sharded().run(&prog).expect("no stall");
+    let (four_chips, parks) = park_at_every_boundary(|control, checkpoint| match checkpoint {
+        None => sharded().run_controlled(&prog, control).expect("no stall"),
+        Some(bytes) => sharded()
+            .resume_controlled(&prog, control, bytes)
+            .expect("checkpoint must restore"),
+    });
+    assert!(parks >= 2, "the four-chip run parked {parks} times");
+    assert_eq!(four_chips, reference, "P = 4");
 }
 
 /// A wrapper that lies about its activity window: it claims more idle
