@@ -24,12 +24,20 @@ pub(crate) struct BackEnd<P> {
     pub(crate) edge_access: EdgeAccess<P>,
     /// Per-channel pending-edge queues in front of the ePEs.
     epe_q: Vec<Fifo<PendingEdge<P>>>,
+    /// Occupancy words of `epe_q`: bit `c % 64` of word `c / 64` is set
+    /// iff queue `c` holds an edge, so stage 2 visits only busy ePEs.
+    epe_busy: Vec<u64>,
     /// The ePE → vPE dataflow propagation fabric.
     dataflow: AnyNetwork<ImmPacket<P>>,
     /// Per-bank free-slot scratch for stage 3, reused every cycle.
     epe_space: Vec<bool>,
     /// Bank-read staging scratch for stage 3, reused every cycle.
     bank_reads: Vec<BankRead<P>>,
+    /// Steps since the last [`BackEnd::fold_starvation`]: stage 1 polls
+    /// every vPE once per step.
+    polls: u64,
+    /// Per-vPE packets stage 1 delivered since the last fold.
+    deliveries: Vec<u64>,
 }
 
 impl<P: Copy + 'static> BackEnd<P> {
@@ -41,9 +49,12 @@ impl<P: Copy + 'static> BackEnd<P> {
         BackEnd {
             edge_access: factory.edge_access(),
             epe_q: (0..m).map(|_| Fifo::new(config.staging_capacity)).collect(),
+            epe_busy: vec![0; m.div_ceil(64)],
             dataflow: factory.dataflow_fabric(),
             epe_space: vec![false; m],
             bank_reads: Vec::new(),
+            polls: 0,
+            deliveries: vec![0; m],
         }
     }
 
@@ -63,36 +74,43 @@ impl<P: Copy + 'static> BackEnd<P> {
         t_base: u32,
         metrics: &mut Metrics,
     ) {
-        let m = self.epe_q.len();
-
-        // (1) vPEs: drain the dataflow fabric, fold into tProperty.
-        for c in 0..m {
-            match self.dataflow.pop(c) {
-                Some(pkt) => {
-                    debug_assert_eq!(pkt.dest as usize, c);
-                    let t = &mut t_props[(pkt.v - t_base) as usize];
-                    *t = program.reduce(*t, pkt.imm);
-                }
-                None => {
-                    metrics.vpe_starvation_cycles += 1;
-                    metrics.vpe_starvation_per_channel[c] += 1;
-                }
+        // (1) vPEs: drain the dataflow fabric, fold into tProperty. Every
+        // vPE is polled; one that receives nothing starves this cycle,
+        // which `fold_starvation` counts as polls minus deliveries.
+        self.polls += 1;
+        let deliveries = &mut self.deliveries;
+        self.dataflow.for_each_output(|dataflow, c| {
+            if let Some(pkt) = dataflow.pop(c) {
+                debug_assert_eq!(pkt.dest as usize, c);
+                let t = &mut t_props[(pkt.v - t_base) as usize];
+                *t = program.reduce(*t, pkt.imm);
+                deliveries[c] += 1;
             }
-        }
+        });
 
         // (2) ePEs: Process_Edge and inject into the dataflow fabric; a
-        // rejected edge stays at the head of its queue.
-        for c in 0..m {
-            let Some(&edge) = self.epe_q[c].peek() else {
-                continue;
-            };
-            let pkt = ImmPacket {
-                v: edge.dst,
-                dest: edge.dst % m as u32,
-                imm: program.process_edge(edge.u_prop, edge.weight),
-            };
-            if self.dataflow.push(c, pkt).is_ok() {
-                self.epe_q[c].pop();
+        // rejected edge stays at the head of its queue. The channel count
+        // is a power of two, so a destination's vPE is its low bits.
+        let vpe_mask = self.epe_q.len() as u32 - 1;
+        for w in 0..self.epe_busy.len() {
+            let mut bits = self.epe_busy[w];
+            while bits != 0 {
+                let c = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let Some(&edge) = self.epe_q[c].peek() else {
+                    continue;
+                };
+                let pkt = ImmPacket {
+                    v: edge.dst,
+                    dest: edge.dst & vpe_mask,
+                    imm: program.process_edge(edge.u_prop, edge.weight),
+                };
+                if self.dataflow.push(c, pkt).is_ok() {
+                    self.epe_q[c].pop();
+                    if self.epe_q[c].is_empty() {
+                        self.epe_busy[w] &= !(1u64 << (c % 64));
+                    }
+                }
             }
         }
 
@@ -112,8 +130,27 @@ impl<P: Copy + 'static> BackEnd<P> {
             if self.epe_q[read.bank].push(pending).is_err() {
                 debug_assert!(false, "edge unit overran an ePE queue");
             }
+            self.epe_busy[read.bank / 64] |= 1u64 << (read.bank % 64);
             metrics.edges_processed += 1;
         }
+    }
+
+    /// Adds the vPE starvation of the steps since the last fold to
+    /// `metrics`: vPE `c` starved on each of the `polls` steps that
+    /// delivered it nothing, `polls - deliveries[c]` cycles. The drain
+    /// folds once when it returns, so the per-cycle step only counts.
+    pub(crate) fn fold_starvation(&mut self, metrics: &mut Metrics) {
+        for (starved, delivered) in metrics
+            .vpe_starvation_per_channel
+            .iter_mut()
+            .zip(&mut self.deliveries)
+        {
+            let cycles = self.polls - *delivered;
+            *starved += cycles;
+            metrics.vpe_starvation_cycles += cycles;
+            *delivered = 0;
+        }
+        self.polls = 0;
     }
 
     /// Commits the per-cycle effects of `cycles` idle [`BackEnd::step`]s
@@ -171,10 +208,12 @@ impl<P: Copy + 'static> ClockedComponent for BackEnd<P> {
     }
 }
 
-/// At a drained boundary the ePE queues are empty, so the record is the
-/// edge-access unit and the dataflow fabric.
+/// At a drained boundary the ePE queues are empty and the starvation
+/// counts folded, so the record is the edge-access unit and the dataflow
+/// fabric.
 impl<P> higraph_sim::Snapshot for BackEnd<P> {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
+        debug_assert_eq!(self.polls, 0, "starvation is folded when a drain returns");
         w.tag(b"BACK");
         w.usize(self.epe_q.len());
         self.edge_access.save(w);

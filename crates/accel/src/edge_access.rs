@@ -11,8 +11,12 @@
 //!   per-channel queues and arbitrate for the edge banks directly. A range
 //!   needs *all* of its banks in the same cycle; overlapping requests from
 //!   other channels stall it (the datapath conflict of Fig. 3 ②).
+//!
+//! Bank counts are powers of two (validated configurations guarantee
+//! it), so an edge's bank is the low bits of its index and its row the
+//! rest: the per-cycle issue paths divide by nothing.
 
-use higraph_mdp::{Dispatcher, EdgeRange, RangeMdpNetwork, Topology};
+use higraph_mdp::{EdgeRange, RangeMdpNetwork, Topology};
 use higraph_sim::{BankPorts, ClockedComponent, Fifo, NetworkStats};
 
 /// One edge read issued to a bank this cycle.
@@ -34,13 +38,13 @@ pub enum EdgeAccess<P> {
     Mdp {
         /// The range network (front-end channels wide).
         net: RangeMdpNetwork<P>,
-        /// Terminal dispatcher shared across outputs (stateless).
-        dispatcher: Dispatcher,
+        /// `num_banks - 1`: edge `i` lives in bank `i & bank_mask`.
+        bank_mask: u64,
         /// Ranges each dispatcher may pop per cycle (final-stage read
         /// ports; 2 for the paper's 2W2R modules).
         read_ports: usize,
-        /// Per-bank used-this-output scratch, reused every issue call
-        /// (hot path: no per-cycle allocation).
+        /// Per-bank used-this-cycle scratch, all `false` between issue
+        /// calls (hot path: no per-cycle allocation).
         used: Vec<bool>,
     },
     /// Direct bank arbitration (baseline).
@@ -65,7 +69,9 @@ impl<P: Copy> EdgeAccess<P> {
     /// # Panics
     ///
     /// Panics if the validated-config invariants don't hold
-    /// (`front_channels` a power of `radix`, `num_banks` a multiple).
+    /// (`front_channels` a power of two, `num_banks` a power of two no
+    /// smaller).
+    // lint:allow-item(hot-path-alloc): construction-time: the per-bank scratch is allocated once per unit
     pub fn new_mdp(
         front_channels: usize,
         num_banks: usize,
@@ -78,16 +84,27 @@ impl<P: Copy> EdgeAccess<P> {
             .expect("validated config guarantees power-of-two front channels");
         EdgeAccess::Mdp {
             net: RangeMdpNetwork::new(topo, num_banks, capacity)
-                // lint:allow(panic-freedom): infallible: try_new validated bank/channel divisibility
-                .expect("validated config guarantees bank/channel divisibility"),
-            dispatcher: Dispatcher::new(num_banks),
+                // lint:allow(panic-freedom): infallible: try_new validated power-of-two bank and channel counts
+                .expect("validated config guarantees power-of-two banks"),
+            bank_mask: num_banks as u64 - 1,
             read_ports: read_ports.max(1),
             used: vec![false; num_banks],
         }
     }
 
     /// Builds the direct-arbitration variant with `capacity`-entry queues.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num_banks` is not a power of two (validated
+    /// configurations guarantee it).
+    // lint:allow-item(hot-path-alloc): construction-time: request queues are allocated once per unit
     pub fn new_direct(front_channels: usize, num_banks: usize, capacity: usize) -> Self {
+        // lint:allow(panic-freedom): documented constructor panic: a bank is the low bits of an edge index
+        assert!(
+            num_banks.is_power_of_two(),
+            "bank count must be a power of two"
+        );
         EdgeAccess::Direct {
             queues: (0..front_channels).map(|_| Fifo::new(capacity)).collect(),
             num_banks,
@@ -126,55 +143,62 @@ impl<P: Copy> EdgeAccess<P> {
         }
     }
 
-    /// Issues this cycle's bank reads. `epe_has_space[b]` reports whether
-    /// the ePE queue behind bank `b` can take one more edge; every bank
-    /// issues at most one read per cycle.
-    ///
-    /// Convenience wrapper over [`EdgeAccess::issue_reads_into`] that
-    /// allocates the result vector; the per-cycle hot path hands in a
-    /// reusable buffer instead.
-    pub fn issue_reads(&mut self, epe_has_space: &[bool]) -> Vec<BankRead<P>> {
+    /// Issues this cycle's bank reads, allocating the result: the unit
+    /// tests' form of [`EdgeAccess::issue_reads_into`].
+    #[cfg(test)]
+    pub(crate) fn issue_reads(&mut self, epe_has_space: &[bool]) -> Vec<BankRead<P>> {
         let mut reads = Vec::new();
         self.issue_reads_into(epe_has_space, &mut reads);
         reads
     }
 
-    /// Issues this cycle's bank reads into `reads` (cleared first) —
-    /// the allocation-free twin of [`EdgeAccess::issue_reads`].
+    /// Issues this cycle's bank reads into `reads` (cleared first).
+    /// `epe_has_space[b]` reports whether the ePE queue behind bank `b`
+    /// can take one more edge; every bank issues at most one read per
+    /// cycle.
     pub fn issue_reads_into(&mut self, epe_has_space: &[bool], reads: &mut Vec<BankRead<P>>) {
         reads.clear();
         match self {
             EdgeAccess::Mdp {
                 net,
-                dispatcher,
+                bank_mask,
                 read_ports,
                 used,
             } => {
-                for o in 0..net.num_channels() {
-                    // A dispatcher's banks are private to it, so only the
-                    // ePE queues (and intra-group bank ports) gate the
-                    // issue. The final stage is a 2W2R module, so up to
-                    // `read_ports` ranges per output can issue per cycle
-                    // when their bank sets are disjoint.
-                    used.iter_mut().for_each(|u| *u = false);
-                    for _read_port in 0..*read_ports {
-                        let Some(range) = net.peek(o) else { break };
-                        let ok = dispatcher
-                            .expand(range)
-                            .all(|(bank, _)| epe_has_space[bank] && !used[bank]);
-                        if !ok {
-                            break;
-                        }
-                        // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
-                        let range = net.pop(o).expect("peeked");
-                        reads.extend(dispatcher.expand(&range).map(|(bank, edge_index)| {
-                            used[bank] = true;
-                            BankRead {
-                                bank,
-                                edge_index,
-                                payload: range.payload,
+                // Only outputs presenting a range can issue. A
+                // dispatcher's banks are private to it, so only the ePE
+                // queues (and intra-group bank ports) gate the issue. The
+                // final stage is a 2W2R module, so up to `read_ports`
+                // ranges per output can issue per cycle when their bank
+                // sets are disjoint. A range lies within its output's
+                // group and never wraps, so its banks are one slice.
+                for w in 0..net.occupied_outputs().len() {
+                    let mut bits = net.occupied_outputs()[w];
+                    while bits != 0 {
+                        let o = 64 * w + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let (mut lo, mut hi) = (usize::MAX, 0);
+                        for _read_port in 0..*read_ports {
+                            let Some(range) = net.peek(o) else { break };
+                            let first = (range.off & *bank_mask) as usize;
+                            let banks = first..first + range.len as usize;
+                            if !epe_has_space[banks.clone()].iter().all(|&space| space)
+                                || used[banks.clone()].contains(&true)
+                            {
+                                break;
                             }
-                        }));
+                            used[banks.clone()].fill(true);
+                            (lo, hi) = (lo.min(banks.start), hi.max(banks.end));
+                            reads.extend(banks.zip(range.off..).map(|(bank, edge_index)| {
+                                BankRead {
+                                    bank,
+                                    edge_index,
+                                    payload: range.payload,
+                                }
+                            }));
+                            net.pop(o);
+                        }
+                        used[lo.min(hi)..hi].fill(false);
                     }
                 }
             }
@@ -187,13 +211,14 @@ impl<P: Copy> EdgeAccess<P> {
             } => {
                 ports.reset();
                 let n = queues.len();
-                for off in 0..n {
-                    let ch = (*next + off) % n;
+                let (bank_mask, row_shift) = (*num_banks as u64 - 1, num_banks.trailing_zeros());
+                let first_ch = *next;
+                for ch in (first_ch..n).chain(0..first_ch) {
                     let Some(range) = queues[ch].peek() else {
                         continue;
                     };
-                    let first = (range.off % *num_banks as u64) as usize;
-                    let row = range.off / *num_banks as u64;
+                    let first = (range.off & bank_mask) as usize;
+                    let row = range.off >> row_shift;
                     let banks = first..first + range.len as usize;
                     // The whole range must win all its banks and have ePE
                     // space; otherwise the head stalls (datapath conflict).
@@ -207,23 +232,19 @@ impl<P: Copy> EdgeAccess<P> {
                         stats.hol_blocked += 1;
                         break;
                     }
-                    for b in banks {
+                    for b in banks.clone() {
                         let claimed = ports.try_claim(b, row);
                         debug_assert!(claimed);
                     }
-                    // lint:allow(panic-freedom): infallible: the pop follows a successful peek on the same queue this cycle
-                    let range = queues[ch].pop().expect("peeked");
+                    reads.extend(banks.zip(range.off..).map(|(bank, edge_index)| BankRead {
+                        bank,
+                        edge_index,
+                        payload: range.payload,
+                    }));
+                    queues[ch].pop();
                     stats.delivered += 1;
-                    for k in 0..u64::from(range.len) {
-                        let idx = range.off + k;
-                        reads.push(BankRead {
-                            bank: (idx % *num_banks as u64) as usize,
-                            edge_index: idx,
-                            payload: range.payload,
-                        });
-                    }
                 }
-                *next = (*next + 1) % n;
+                *next = if first_ch + 1 == n { 0 } else { first_ch + 1 };
             }
         }
     }
@@ -236,7 +257,7 @@ impl<P: Copy> EdgeAccess<P> {
         }
     }
 
-    /// Commits the per-cycle effect of [`EdgeAccess::issue_reads`] over
+    /// Commits the per-cycle effect of [`EdgeAccess::issue_reads_into`] over
     /// `cycles` empty-unit cycles: the direct variant's arbitration
     /// pointer rotates every call even when nothing issues (the MDP
     /// variant's empty issue path is pure).

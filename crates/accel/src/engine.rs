@@ -190,7 +190,9 @@ impl<P: Copy + 'static> ScatterPipeline<P> {
     /// Drains one scatter phase of chip `chip` over `graph` under
     /// `scheduler`, reducing into the owned tProperty interval `t_props`
     /// whose first vertex is `t_base`. Each cycle first applies the
-    /// phase's fault windows active at `base + cycle` for this chip.
+    /// phase's fault windows active at `base + cycle` for this chip. The
+    /// back-end's vPE starvation is folded into `metrics` when the drain
+    /// returns.
     ///
     /// # Errors
     ///
@@ -241,7 +243,9 @@ impl<P: Copy + 'static> ScatterPipeline<P> {
             }
             DrainStep::Skipped { cycles, .. } => pipeline.commit_idle(cycles, metrics),
         };
-        scheduler.drain_ctrl(self, control, callback)
+        let drained = scheduler.drain_ctrl(self, control, callback);
+        self.back.fold_starvation(metrics);
+        drained
     }
 }
 
@@ -1053,6 +1057,49 @@ mod tests {
             Err(ControlError::Snapshot(e)) => {
                 assert!(e.context.contains("payload bytes left"), "{e}")
             }
+            other => panic!("expected a snapshot error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn resealed_checkpoint_with_a_short_starvation_vector_is_rejected() {
+        // The back-end counts starvation per vPE into the restored
+        // metrics, so their per-channel vector must have one entry per
+        // live back-end channel.
+        let g = power_law(300, 2700, 2.0, 31, 73);
+        let prog = Sssp::from_source(higraph_graph::stats::hub_vertex(&g).expect("non-empty").0);
+        let control = RunControl::new();
+        control.set_budget_cycles(Some(1));
+        let mut engine = Engine::new(AcceleratorConfig::higraph(), &g);
+        let RunOutcome::Parked(parked) = engine.run_controlled(&prog, &control).expect("no stall")
+        else {
+            panic!("the run must park");
+        };
+        // The aggregate's `METR` record comes first, then the one chip's.
+        let mut bytes = parked.bytes;
+        let chip = bytes
+            .windows(4)
+            .enumerate()
+            .filter(|(_, w)| *w == b"METR")
+            .nth(1)
+            .expect("a chip metrics record")
+            .0;
+        // After the tag: four u64 counters, the u32 iteration count and
+        // the u64 starvation total, then the per-channel vector.
+        let len_at = chip + 4 + 4 * 8 + 4 + 8;
+        assert_eq!(bytes[len_at..len_at + 8], 32u64.to_le_bytes());
+        bytes[len_at..len_at + 8].copy_from_slice(&0u64.to_le_bytes());
+        bytes.drain(len_at + 8..len_at + 8 + 32 * 8);
+        let payload_len = (bytes.len() - 24) as u64;
+        bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = higraph_sim::content_checksum(&bytes[24..]);
+        bytes[16..24].copy_from_slice(&checksum.to_le_bytes());
+        control.set_budget_cycles(None);
+        match engine.resume_controlled(&prog, &control, &bytes) {
+            Err(ControlError::Snapshot(e)) => assert!(
+                e.context.contains("0 entries") && e.context.contains("32 channels"),
+                "{e}"
+            ),
             other => panic!("expected a snapshot error, got {other:?}"),
         }
     }

@@ -119,14 +119,17 @@ impl<P: Copy + 'static> FrontEnd<P> {
 
         // (5) Offset Array access: claim (u, u+1) bank pairs. Both the
         // issue order and the bank-port tracker are per-cycle state kept
-        // in reusable scratch buffers owned by the front-end.
+        // in reusable scratch buffers owned by the front-end. The bank
+        // count is a power of two: a vertex's bank is its low bits and
+        // its row the rest.
         self.offset_banks.reset();
+        let (bank_mask, row_shift) = (n as u64 - 1, n.trailing_zeros());
         let claim = |u: u32, ports: &mut BankPorts| -> bool {
-            let b0 = (u as usize) % n;
-            let b1 = (u as usize + 1) % n;
-            let r0 = u64::from(u) / n as u64;
-            let r1 = (u64::from(u) + 1) / n as u64;
-            ports.try_claim_pair((b0, r0), (b1, r1))
+            let (a, b) = (u64::from(u), u64::from(u) + 1);
+            ports.try_claim_pair(
+                ((a & bank_mask) as usize, a >> row_shift),
+                ((b & bank_mask) as usize, b >> row_shift),
+            )
         };
         self.issue_order.clear();
         if self.mdp_offset {
@@ -144,9 +147,9 @@ impl<P: Copy + 'static> FrontEnd<P> {
             // granted past a blocked one (skip-over would require full
             // per-bank parallel arbitration, exactly the centralization
             // the paper says caps this design at 4 channels).
-            self.issue_order
-                .extend((0..n).map(|off| (self.offset_rr + off) % n));
-            self.offset_rr = (self.offset_rr + 1) % n;
+            let first = self.offset_rr;
+            self.issue_order.extend((first..n).chain(0..first));
+            self.offset_rr = if first + 1 == n { 0 } else { first + 1 };
         }
         for i in 0..n {
             let c = self.issue_order[i];
@@ -179,17 +182,18 @@ impl<P: Copy + 'static> FrontEnd<P> {
         }
 
         // (5b) Drain the offset-routing fabric into the channel queues.
-        for c in 0..n {
-            if !self.offset_q[c].is_full() {
-                if let Some(pkt) = self.offset_net.pop(c) {
+        let offset_q = &mut self.offset_q;
+        self.offset_net.for_each_output(|offset_net, c| {
+            if !offset_q[c].is_full() {
+                if let Some(pkt) = offset_net.pop(c) {
                     debug_assert_eq!(pkt.dest as usize, c);
-                    self.offset_q[c]
+                    offset_q[c]
                         .push(pkt)
                         // lint:allow(panic-freedom): push cannot fail: space was checked against this cycle's snapshot before the transfer
                         .unwrap_or_else(|_| unreachable!("space checked"));
                 }
             }
-        }
+        });
 
         // (6) ActiveVertex fetch: one vertex per part per cycle; a
         // rejected vertex stays at the head of its part.
@@ -203,12 +207,14 @@ impl<P: Copy + 'static> FrontEnd<P> {
         }
     }
 
-    /// The vertex packet part `c` offers the offset-routing fabric next.
+    /// The vertex packet part `c` offers the offset-routing fabric next,
+    /// bound for the channel of its Offset bank (the low bits of `u`:
+    /// the channel count is a power of two).
     fn head_packet(&self, c: usize) -> Option<VertexPacket<P>> {
-        let n = self.av_parts.len() as u32;
+        let bank_mask = self.av_parts.len() as u32 - 1;
         self.av_parts[c].front().map(|&(u, prop)| VertexPacket {
             u,
-            dest: u % n,
+            dest: u & bank_mask,
             prop,
         })
     }

@@ -179,6 +179,9 @@ impl higraph_sim::Snapshot for MemoryMetrics {
     }
 }
 
+/// A restore loads into metrics sized for the live back-end (a fresh run
+/// state has one starvation entry per back-end channel), so the stored
+/// per-channel vector must have exactly that length.
 impl higraph_sim::Snapshot for Metrics {
     fn save(&self, w: &mut higraph_sim::SnapWriter) {
         w.tag(b"METR");
@@ -205,7 +208,15 @@ impl higraph_sim::Snapshot for Metrics {
         self.edges_processed = r.u64()?;
         self.iterations = r.u32()?;
         self.vpe_starvation_cycles = r.u64()?;
-        self.vpe_starvation_per_channel = r.seq(u32::MAX as usize)?;
+        let channels = self.vpe_starvation_per_channel.len();
+        let per_channel: Vec<u64> = r.seq(channels)?;
+        if per_channel.len() != channels {
+            return Err(higraph_sim::SnapError::new(format!(
+                "per-channel starvation has {} entries, the live back-end {channels} channels",
+                per_channel.len()
+            )));
+        }
+        self.vpe_starvation_per_channel = per_channel;
         self.offset_conflicts = r.u64()?;
         self.frequency_ghz = r.f64()?;
         self.offset_net.load(r)?;

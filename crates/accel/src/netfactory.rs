@@ -76,6 +76,41 @@ impl<T: Packet> AnyNetwork<T> {
         }
     }
 
+    /// Word `w` of the outputs a consumer visits this cycle: bit `b` set
+    /// means output `64 * w + b` may present a packet. Exact for the
+    /// MDP-network (its last stage's occupancy word); every output in the
+    /// word for the crossbar and the nW1R FIFO.
+    #[inline]
+    pub fn output_word(&self, w: usize) -> u64 {
+        match self {
+            AnyNetwork::Mdp(n) => n.occupied_outputs()[w],
+            AnyNetwork::Crossbar(_) | AnyNetwork::Naive(_) => {
+                let outputs = self.num_outputs() - 64 * w;
+                if outputs >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << outputs) - 1
+                }
+            }
+        }
+    }
+
+    /// Calls `visit(fabric, output)` for each output [`AnyNetwork::output_word`]
+    /// names, in ascending order: the one consumer loop for every fabric
+    /// kind. Each word is read before its outputs are visited, so pops
+    /// inside `visit` do not disturb the walk.
+    #[inline]
+    pub fn for_each_output(&mut self, mut visit: impl FnMut(&mut Self, usize)) {
+        for w in 0..self.num_outputs().div_ceil(64) {
+            let mut bits = self.output_word(w);
+            while bits != 0 {
+                let output = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                visit(self, output);
+            }
+        }
+    }
+
     /// Bulk-commits `count` deterministic input rejections.
     pub fn commit_rejected(&mut self, count: u64) {
         match self {

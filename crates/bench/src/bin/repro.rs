@@ -8,7 +8,7 @@
 //!
 //! Targets: `table1 table2 fig4 fig5 fig7 fig8 fig9 fig10a fig10b fig11
 //! fig12 radix areapower ablation batch shard shardfull mem simspeed
-//! hostperf dse faults all`. Default scale divides Table 2 datasets by 4
+//! hostperf dse faults all`, plus `digest`. Default scale divides Table 2 datasets by 4
 //! (Figs. 5/10/11/12 and the radix sweep always run full-scale R14);
 //! `--full` uses the paper's exact sizes everywhere. Every sweep
 //! executes through the parallel batch runner, so wall time scales down
@@ -37,6 +37,13 @@
 //! overloaded run must surface a `StallDiagnostic` instead of hanging —
 //! all gated under `--check`.
 //!
+//! `digest` runs alone (not part of `all`): it prints one line per run
+//! of the fixed cross-version matrix — key, cycles and a checksum of
+//! everything the run reports (`higraph_bench::digest`) — and nothing
+//! else, so `repro digest > digest-baseline.txt` regenerates the
+//! checked-in file; `repro digest --check digest-baseline.txt` fails on
+//! the first line that differs from it, naming it.
+//!
 //! Flags:
 //!
 //! * `--json` — additionally write the machine-readable metrics to
@@ -46,7 +53,8 @@
 //!   `mem`, `simspeed` — per-figure cycles, throughput, shard traffic,
 //!   memory-hierarchy rates, and simulator host speed. The remaining
 //!   targets print human-readable output only;
-//! * `--check <baseline.json>` — compare this run against a flat
+//! * `--check <baseline.json>` (`digest`: `<digest-baseline.txt>`) —
+//!   compare this run against a flat
 //!   `{"metric.key": number}` baseline and exit non-zero if any baseline
 //!   metric is missing or deviates more than 10%. Baseline keys owned by
 //!   targets that did not run this invocation are skipped, so partial
@@ -61,6 +69,7 @@ use higraph::prelude::{
     AcceleratorConfig, Bfs, Dataset, Engine, FaultPlan, Metrics, RunControl, RunOutcome,
     ShardConfig,
 };
+use higraph_bench::digest::{check_digest, digest_lines};
 use higraph_bench::dse::{DseOutcome, DseSettings, MAX_ANCHOR_FRONT_EXCESS};
 use higraph_bench::report::{
     check_against_baseline, filter_baseline_to_targets, parse_flat_json, DEFAULT_TOLERANCE,
@@ -72,7 +81,7 @@ use std::process::ExitCode;
 /// Path `--json` writes to, and the artifact name CI uploads.
 const REPORT_PATH: &str = "bench-report.json";
 
-/// Every runnable target, plus the `all` alias.
+/// Every target `all` runs.
 const KNOWN_TARGETS: [&str; 22] = [
     "table1",
     "table2",
@@ -144,9 +153,11 @@ fn main() -> ExitCode {
             }
             target => {
                 let target = target.to_lowercase();
-                if target != "all" && !KNOWN_TARGETS.contains(&target.as_str()) {
+                if !["all", "digest"].contains(&target.as_str())
+                    && !KNOWN_TARGETS.contains(&target.as_str())
+                {
                     eprintln!(
-                        "unknown target {target} (known: all {})",
+                        "unknown target {target} (known: all digest {})",
                         KNOWN_TARGETS.join(" ")
                     );
                     return ExitCode::FAILURE;
@@ -155,6 +166,13 @@ fn main() -> ExitCode {
             }
         }
         i += 1;
+    }
+    if targets.contains("digest") {
+        if targets.len() > 1 || full || json || dse_budget.is_some() {
+            eprintln!("the digest target runs alone: repro digest [--check <digest-baseline.txt>]");
+            return ExitCode::FAILURE;
+        }
+        return digest(check.as_deref());
     }
     let scale = if full { Scale::full() } else { Scale::quick() };
     if targets.is_empty() || targets.contains("all") {
@@ -386,6 +404,32 @@ fn main() -> ExitCode {
             }
             return ExitCode::FAILURE;
         }
+    }
+    ExitCode::SUCCESS
+}
+
+/// Prints the cross-version digest, one line per run, and with a
+/// baseline path fails on the first line that differs from it.
+fn digest(check: Option<&str>) -> ExitCode {
+    // Read the baseline up front, as the JSON gate does.
+    let baseline = match check.map(|path| (path, std::fs::read_to_string(path))) {
+        None => None,
+        Some((path, Err(e))) => {
+            eprintln!("failed to read digest baseline {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        Some((path, Ok(text))) => Some((path, text)),
+    };
+    let lines = digest_lines();
+    for line in &lines {
+        println!("{line}");
+    }
+    if let Some((path, text)) = baseline {
+        if let Err(e) = check_digest(&lines, &text) {
+            eprintln!("digest check FAILED against {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        eprintln!("digest check: all {} runs match {path}", lines.len());
     }
     ExitCode::SUCCESS
 }

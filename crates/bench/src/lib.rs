@@ -10,6 +10,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod digest;
 pub mod dse;
 pub mod figures;
 pub mod memo;

@@ -150,7 +150,12 @@ impl Algo {
 
     /// Builds this algorithm's program for `graph` and hands it to `how`:
     /// the one place the six programs are built.
-    fn with_program<R: ProgramRun>(self, graph: &Csr, pr_iters: u32, how: R) -> R::Output {
+    pub(crate) fn with_program<R: ProgramRun>(
+        self,
+        graph: &Csr,
+        pr_iters: u32,
+        how: R,
+    ) -> R::Output {
         let source = Algo::source(graph);
         match self {
             Algo::Bfs => how.run(&Bfs::from_source(source)),
@@ -164,7 +169,7 @@ impl Algo {
 }
 
 /// One run of whichever program [`Algo::with_program`] builds.
-trait ProgramRun {
+pub(crate) trait ProgramRun {
     /// What the run returns.
     type Output;
     /// Runs `program`.

@@ -75,6 +75,8 @@ pub const HOT_PATH_FILES: &[&str] = &[
     "range.rs",
     "naive.rs",
     "dram.rs",
+    "crossbar.rs",
+    "edge_access.rs",
 ];
 
 /// Identifiers the determinism rule forbids outright.

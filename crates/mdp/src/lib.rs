@@ -27,8 +27,8 @@
 //!   splits `{Off, nOff}` into `{Off, Len}` chunks, the
 //!   [`range::RangeMdpNetwork`] — the same model under the
 //!   [`range::BankRegions`] rule — splits lengths at each stage's
-//!   bank-region boundaries as target ranges narrow, and
-//!   [`range::Dispatcher`]s fan the final small ranges onto consecutive
+//!   bank-region boundaries as target ranges narrow, until each output
+//!   presents ranges within its own dispatcher's group of consecutive
 //!   banks (Sec. 4.2, Fig. 6);
 //! * [`naive::NaiveFifoNetwork`] — the nW1R-FIFO strawman of Fig. 5 (b/c),
 //!   kept as a baseline;
@@ -65,5 +65,5 @@ pub mod verilog;
 
 pub use naive::NaiveFifoNetwork;
 pub use network::MdpNetwork;
-pub use range::{Dispatcher, EdgeRange, RangeMdpNetwork, ReplayEngine};
+pub use range::{EdgeRange, RangeMdpNetwork, ReplayEngine};
 pub use topology::{Topology, TopologyError};

@@ -1,6 +1,7 @@
 //! Cycle-level model of the MDP-network.
 //!
-//! Storage: one FIFO per (stage, channel) — the stage's 2W1R FIFOs. Every
+//! Storage: one FIFO per (stage, channel) — the stage's 2W1R FIFOs, in
+//! one flat vector indexed `stage * channels + channel`. Every
 //! cycle each FIFO pops at most one item (its single read port) and
 //! accepts at most `radix` items (its write ports), which the topology
 //! guarantees structurally: exactly `radix` source channels map to each
@@ -60,8 +61,9 @@ impl<T: Packet> SplitRule<T> for Whole {
 pub struct MdpFabric<T, R> {
     topology: Topology,
     rule: R,
-    /// `fifos[stage][channel]`; the last stage's FIFOs are the outputs.
-    fifos: Vec<Vec<Fifo<T>>>,
+    /// `fifos[stage * n + channel]` for `n` channels; the last stage's
+    /// FIFOs are the outputs.
+    fifos: Vec<Fifo<T>>,
     stats: NetworkStats,
     /// Cached item count across all stage FIFOs: `in_flight` is O(1)
     /// and an empty fabric's tick early-outs — both on the per-cycle hot
@@ -108,12 +110,8 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
     /// entries per stage FIFO.
     // lint:allow-item(hot-path-alloc): construction-time: stage FIFOs and occupancy masks are allocated once per network
     pub(crate) fn with_rule(topology: Topology, rule: R, fifo_capacity: usize) -> Self {
-        let fifos = (0..topology.num_stages())
-            .map(|_| {
-                (0..topology.num_channels())
-                    .map(|_| Fifo::new(fifo_capacity))
-                    .collect()
-            })
+        let fifos = (0..topology.num_stages() * topology.num_channels())
+            .map(|_| Fifo::new(fifo_capacity))
             .collect();
         let words = mask_words(topology.num_channels());
         MdpFabric {
@@ -138,10 +136,21 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
 
     /// Total buffer entries across all stage FIFOs.
     pub fn total_buffer_entries(&self) -> usize {
-        self.fifos
-            .iter()
-            .map(|stage| stage.iter().map(Fifo::capacity).sum::<usize>())
-            .sum()
+        self.fifos.iter().map(Fifo::capacity).sum()
+    }
+
+    /// The last stage's occupancy words: bit `c % 64` of word `c / 64` is
+    /// set iff output `c` presents an item, so a consumer visits only the
+    /// outputs that can deliver.
+    #[inline]
+    pub fn occupied_outputs(&self) -> &[u64] {
+        &self.stage_mask[self.topology.num_stages() - 1]
+    }
+
+    /// The index in `fifos` of output `c` (channel `c`'s last-stage FIFO).
+    #[inline]
+    fn output_fifo(&self, c: usize) -> usize {
+        (self.topology.num_stages() - 1) * self.topology.num_channels() + c
     }
 
     /// Whether the next tick can move nothing: every non-final-stage
@@ -150,15 +159,21 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
     /// bookkeeping — the per-head HoL counts it accrues are committed in
     /// bulk by [`ClockedComponent::skip`]. Vacuously true when empty.
     pub fn is_wedged(&self) -> bool {
+        let n = self.topology.num_channels();
         let stages = self.topology.num_stages();
         for s in 0..stages.saturating_sub(1) {
             let shift = self.topology.stage(s + 1).shift;
-            for c in 0..self.topology.num_channels() {
-                if let Some(head) = self.fifos[s][c].peek() {
-                    let (dest, _) = self.rule.split_front(shift, head);
-                    let target = self.topology.next_channel(s + 1, c, dest);
-                    if !self.fifos[s + 1][target].is_full() {
-                        return false;
+            for (w, &word) in self.stage_mask[s].iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let c = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if let Some(head) = self.fifos[s * n + c].peek() {
+                        let (dest, _) = self.rule.split_front(shift, head);
+                        let target = self.topology.next_channel(s + 1, c, dest);
+                        if !self.fifos[(s + 1) * n + target].is_full() {
+                            return false;
+                        }
                     }
                 }
             }
@@ -168,10 +183,8 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
 
     /// Heads a wedged tick counts as HoL-blocked (non-final-stage heads).
     fn blocked_heads(&self) -> u64 {
-        let stages = self.topology.num_stages();
-        (0..stages.saturating_sub(1))
-            .map(|s| self.fifos[s].iter().filter(|f| !f.is_empty()).count() as u64)
-            .sum()
+        let inner = self.output_fifo(0);
+        self.fifos[..inner].iter().filter(|f| !f.is_empty()).count() as u64
     }
 
     /// Bulk-commits `count` deterministic input rejections (a producer
@@ -186,7 +199,7 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
         let (mut dest, mut split) = self.rule.split_front(shift, item);
         loop {
             let target = self.topology.next_channel(0, input, dest);
-            if self.fifos[0][target].is_full() {
+            if self.fifos[target].is_full() {
                 return false;
             }
             match split {
@@ -220,7 +233,7 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
                 None => item,
             };
             let target = self.topology.next_channel(0, input, dest);
-            self.fifos[0][target]
+            self.fifos[target]
                 .push(piece)
                 // lint:allow(panic-freedom): push cannot fail: `accepts` checked every piece's target for space
                 .unwrap_or_else(|_| unreachable!("space checked by accepts"));
@@ -232,18 +245,20 @@ impl<T, R: SplitRule<T>> MdpFabric<T, R> {
 
     /// The item presented at output `output`, if any.
     pub(crate) fn head(&self, output: usize) -> Option<&T> {
-        self.fifos[self.topology.num_stages() - 1][output].peek()
+        self.fifos[self.output_fifo(output)].peek()
     }
 
     /// Consumes the item presented at output `output`.
     pub(crate) fn take(&mut self, output: usize) -> Option<T> {
-        let last = self.topology.num_stages() - 1;
-        let item = self.fifos[last][output].pop()?;
-        self.stats.delivered += 1;
-        self.occupancy -= 1;
-        if self.fifos[last][output].is_empty() {
+        let at = self.output_fifo(output);
+        let fifo = &mut self.fifos[at];
+        let item = fifo.pop()?;
+        if fifo.is_empty() {
+            let last = self.stage_mask.len() - 1;
             mask_clear(&mut self.stage_mask[last], output);
         }
+        self.stats.delivered += 1;
+        self.occupancy -= 1;
         Some(item)
     }
 
@@ -301,11 +316,12 @@ impl<T, R: SplitRule<T>> ClockedComponent for MdpFabric<T, R> {
             // An empty fabric's tick is pure time-keeping.
             return;
         }
+        let n = self.topology.num_channels();
         let stages = self.topology.num_stages();
         for s in (0..stages.saturating_sub(1)).rev() {
             let shift = self.topology.stage(s + 1).shift;
-            let (upper, lower) = self.fifos.split_at_mut(s + 1);
-            let (here, next) = (&mut upper[s], &mut lower[0]);
+            let (upper, lower) = self.fifos.split_at_mut((s + 1) * n);
+            let (here, next) = (&mut upper[s * n..], &mut lower[..n]);
             let (upper, lower) = self.stage_mask.split_at_mut(s + 1);
             let (here_mask, next_mask) = (&mut upper[s], &mut lower[0]);
             for w in 0..here_mask.len() {
@@ -353,10 +369,7 @@ impl<T, R: SplitRule<T>> ClockedComponent for MdpFabric<T, R> {
     fn in_flight(&self) -> usize {
         debug_assert_eq!(
             self.occupancy,
-            self.fifos
-                .iter()
-                .map(|stage| stage.iter().map(Fifo::len).sum::<usize>())
-                .sum::<usize>(),
+            self.fifos.iter().map(Fifo::len).sum::<usize>(),
             "cached occupancy out of sync"
         );
         self.occupancy

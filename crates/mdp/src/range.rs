@@ -13,7 +13,8 @@
 //!    Len 5`), so competition for subsequent datapaths reduces stage by
 //!    stage;
 //! 3. **Dispatcher** — a small terminal unit per output channel that fans a
-//!    final (narrow) range onto its group of consecutive banks.
+//!    final (narrow) range onto its group of consecutive banks (the
+//!    edge-access unit of `higraph-accel` issues those bank reads).
 
 use crate::network::{MdpFabric, SplitRule};
 use crate::topology::Topology;
@@ -43,7 +44,7 @@ impl<P> EdgeRange<P> {
 /// Errors constructing a [`RangeMdpNetwork`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RangeNetworkError {
-    /// The bank count is not a positive multiple of the channel count.
+    /// The bank count is not a power of two at least the channel count.
     BankChannelMismatch {
         /// Banks requested.
         num_banks: usize,
@@ -60,7 +61,7 @@ impl fmt::Display for RangeNetworkError {
                 num_channels,
             } => write!(
                 f,
-                "bank count {num_banks} must be a positive multiple of channel count {num_channels}"
+                "bank count {num_banks} must be a power of two no smaller than channel count {num_channels}"
             ),
         }
     }
@@ -146,50 +147,21 @@ impl<P: Copy> ReplayEngine<P> {
     }
 }
 
-/// The terminal Dispatcher (Sec. 4.2): expands a narrow range into
-/// per-bank edge reads within one group of `width` consecutive banks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Dispatcher {
-    num_banks: u64,
-}
-
-impl Dispatcher {
-    /// Creates a dispatcher aware of the global bank interleaving.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_banks` is zero.
-    pub fn new(num_banks: usize) -> Self {
-        // lint:allow(panic-freedom): documented panic: a replay engine over zero banks has no semantics
-        assert!(num_banks > 0, "need at least one bank");
-        Dispatcher {
-            num_banks: num_banks as u64,
-        }
-    }
-
-    /// The `(bank, global_edge_index)` reads a range issues. All banks are
-    /// distinct (the replay engine guarantees non-wrapping chunks), so a
-    /// dispatcher completes a range in a single cycle.
-    pub fn expand<P: Copy>(&self, range: &EdgeRange<P>) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let off = range.off;
-        let banks = self.num_banks;
-        (0..u64::from(range.len)).map(move |k| {
-            let idx = off + k;
-            ((idx % banks) as usize, idx)
-        })
-    }
-}
-
 /// The range rule (Sec. 4.2): with `m` banks and `n` channels, an
 /// [`EdgeRange`] is bound for the *dispatcher group* of its first bank
 /// (group `g` owns banks `[g·m/n, (g+1)·m/n)`), and a stage routing on bits
 /// `[shift, ..)` splits it at the boundaries of its `width << shift`-bank
 /// regions — the paper's `Off 4, Len 9 → (4,4)+(8,5)` example.
+///
+/// Both counts are powers of two ([`RangeMdpNetwork::new`] refuses any
+/// other bank count), so every bank, group and region is a mask or a
+/// shift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BankRegions {
-    num_banks: u64,
-    /// Banks per dispatcher (output channel), `m / n`.
-    width: u64,
+    /// `m - 1`: edge `off` lives in bank `off & bank_mask`.
+    bank_mask: u64,
+    /// `log2(m / n)`: the banks per dispatcher (output channel).
+    width_log: u32,
 }
 
 impl<P: Copy> SplitRule<EdgeRange<P>> for BankRegions {
@@ -199,10 +171,10 @@ impl<P: Copy> SplitRule<EdgeRange<P>> for BankRegions {
         shift: u32,
         range: &EdgeRange<P>,
     ) -> (usize, Option<(EdgeRange<P>, EdgeRange<P>)>) {
-        let bank = range.off % self.num_banks;
-        let group = (bank / self.width) as usize;
-        let region = self.width << shift;
-        let room = region - bank % region;
+        let bank = range.off & self.bank_mask;
+        let group = (bank >> self.width_log) as usize;
+        let region = 1u64 << (self.width_log + shift);
+        let room = region - (bank & (region - 1));
         if u64::from(range.len) <= room {
             return (group, None);
         }
@@ -221,7 +193,7 @@ impl<P: Copy> SplitRule<EdgeRange<P>> for BankRegions {
     /// Non-empty ranges that do not wrap the bank interleaving (the
     /// replay engine emits no other kind).
     fn admits(&self, range: &EdgeRange<P>, _outputs: usize) -> bool {
-        range.len >= 1 && range.off % self.num_banks + u64::from(range.len) <= self.num_banks
+        range.len >= 1 && (range.off & self.bank_mask) + u64::from(range.len) <= self.bank_mask + 1
     }
 }
 
@@ -237,22 +209,24 @@ impl<P: Copy> MdpFabric<EdgeRange<P>, BankRegions> {
     /// # Errors
     ///
     /// Returns [`RangeNetworkError::BankChannelMismatch`] unless
-    /// `num_banks` is a positive multiple of the channel count.
+    /// `num_banks` is a power of two no smaller than the channel count
+    /// (itself a power of two), so each output's dispatcher owns the same
+    /// power-of-two number of banks.
     pub fn new(
         topology: Topology,
         num_banks: usize,
         fifo_capacity: usize,
     ) -> Result<Self, RangeNetworkError> {
         let n = topology.num_channels();
-        if num_banks == 0 || !num_banks.is_multiple_of(n) {
+        if !num_banks.is_power_of_two() || num_banks < n {
             return Err(RangeNetworkError::BankChannelMismatch {
                 num_banks,
                 num_channels: n,
             });
         }
         let rule = BankRegions {
-            num_banks: num_banks as u64,
-            width: (num_banks / n) as u64,
+            bank_mask: num_banks as u64 - 1,
+            width_log: (num_banks / n).trailing_zeros(),
         };
         Ok(MdpFabric::with_rule(topology, rule, fifo_capacity))
     }
@@ -336,8 +310,8 @@ mod tests {
             payload: 0u32,
         };
         let rule = BankRegions {
-            num_banks: 16,
-            width: 4,
+            bank_mask: 15,
+            width_log: 2,
         };
         let pieces = pieces(&rule, n.topology().stage(0).shift, r);
         assert_eq!(pieces.len(), 2);
@@ -364,23 +338,6 @@ mod tests {
         assert!(re.load(5, 5, ()));
         assert!(re.is_idle());
         assert_eq!(re.emit(), None);
-    }
-
-    #[test]
-    fn dispatcher_expands_to_distinct_banks() {
-        let d = Dispatcher::new(16);
-        let r = EdgeRange {
-            off: 20,
-            len: 9,
-            payload: (),
-        };
-        let reads: Vec<_> = d.expand(&r).collect();
-        assert_eq!(reads.len(), 9);
-        let mut banks: Vec<_> = reads.iter().map(|(b, _)| *b).collect();
-        banks.sort_unstable();
-        banks.dedup();
-        assert_eq!(banks.len(), 9, "banks must be distinct");
-        assert_eq!(reads[0], (4, 20));
     }
 
     #[test]
@@ -460,7 +417,13 @@ mod tests {
     fn rejects_mismatched_banks() {
         let t = Topology::new(4, 2).unwrap();
         assert!(RangeMdpNetwork::<u32>::new(t.clone(), 15, 4).is_err());
-        assert!(RangeMdpNetwork::<u32>::new(t, 0, 4).is_err());
+        assert!(RangeMdpNetwork::<u32>::new(t.clone(), 0, 4).is_err());
+        // a multiple of the channel count that is not a power of two
+        let err = RangeMdpNetwork::<u32>::new(t.clone(), 12, 4).unwrap_err();
+        assert!(err.to_string().contains("power of two"), "{err}");
+        // a power of two below the channel count
+        assert!(RangeMdpNetwork::<u32>::new(t.clone(), 2, 4).is_err());
+        assert!(RangeMdpNetwork::<u32>::new(t, 4, 4).is_ok());
     }
 
     #[test]

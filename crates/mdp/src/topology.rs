@@ -80,8 +80,6 @@ pub struct Topology {
     n: usize,
     radix: usize,
     stages: Vec<Stage>,
-    /// `module_of[stage][channel]` -> (module index, slot within module).
-    module_of: Vec<Vec<(usize, usize)>>,
 }
 
 impl Topology {
@@ -167,7 +165,6 @@ impl Topology {
         debug_assert_eq!(radices.iter().product::<usize>(), n);
         let total_bits = n.trailing_zeros();
         let mut stages = Vec::with_capacity(radices.len());
-        let mut module_of = Vec::with_capacity(radices.len());
         let mut bits_consumed = 0u32;
         let mut target_group = 1usize;
         for &r in radices {
@@ -175,16 +172,10 @@ impl Topology {
             let group_base = n / target_group;
             let channel_step = group_base / r;
             let mut modules = Vec::with_capacity(n / r);
-            let mut lookup = vec![(0usize, 0usize); n];
             for j in 0..target_group {
                 let real_base = group_base * j;
                 for k in 0..channel_step {
-                    let channels: Vec<usize> =
-                        (0..r).map(|t| real_base + k + t * channel_step).collect();
-                    let module_idx = modules.len();
-                    for (slot, &c) in channels.iter().enumerate() {
-                        lookup[c] = (module_idx, slot);
-                    }
+                    let channels = (0..r).map(|t| real_base + k + t * channel_step).collect();
                     modules.push(Module { channels });
                 }
             }
@@ -194,14 +185,12 @@ impl Topology {
                 shift: total_bits - bits_consumed,
                 mask: r - 1,
             });
-            module_of.push(lookup);
             target_group *= r;
         }
         Ok(Topology {
             n,
             radix: radices.iter().copied().max().unwrap_or(2),
             stages,
-            module_of,
         })
     }
 
@@ -247,15 +236,20 @@ impl Topology {
     /// The channel a packet in channel `channel` moves to when routed by
     /// stage `stage` toward destination `dest`.
     ///
+    /// Algorithm 1 puts slot `t` of a stage's module on the module's
+    /// channel whose bits `[shift, shift + log2(radix))` hold `t` (a
+    /// module's channels are `channel_step = 1 << shift` apart), so the
+    /// move keeps `channel`'s other bits and takes that field from `dest`:
+    /// the channel at [`Stage::slot_for`]`(dest)` of `channel`'s module.
+    ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// Panics if `stage` is out of range.
     #[inline]
     pub fn next_channel(&self, stage: usize, channel: usize, dest: usize) -> usize {
         let st = &self.stages[stage];
-        let (module_idx, _) = self.module_of[stage][channel];
-        let slot = st.slot_for(dest);
-        st.modules[module_idx].channels[slot]
+        let field = st.mask << st.shift;
+        (channel & !field) | (dest & field)
     }
 
     /// The full path of channels a packet takes from `input` to `dest`
@@ -331,6 +325,37 @@ mod tests {
         assert_eq!(t.stage(0).modules[0].channels.len(), 8);
         for dest in 0..8 {
             assert_eq!(t.next_channel(0, 3, dest), dest);
+        }
+    }
+
+    #[test]
+    fn next_channel_is_the_module_slot_of_algorithm_1() {
+        // The bit-field route must pick the channel at `slot_for(dest)`
+        // of the routing channel's module — the tables the Verilog
+        // generator emits.
+        for log_n in 1..=8 {
+            let n = 1usize << log_n;
+            for radix in [2usize, 4, 8, 64] {
+                let t = Topology::new_mixed(n, radix).unwrap();
+                for (s, stage) in t.stages().iter().enumerate() {
+                    let mut module_of = vec![usize::MAX; n];
+                    for (i, module) in stage.modules.iter().enumerate() {
+                        for &c in &module.channels {
+                            module_of[c] = i;
+                        }
+                    }
+                    for (c, &module) in module_of.iter().enumerate() {
+                        let channels = &stage.modules[module].channels;
+                        for dest in 0..n {
+                            assert_eq!(
+                                t.next_channel(s, c, dest),
+                                channels[stage.slot_for(dest)],
+                                "n={n} radix={radix} stage={s} {c}->{dest}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 
